@@ -1,26 +1,16 @@
-//! The admission cascade's repair/split hot path: journal rollback vs.
-//! clone-snapshot rollback, and warm vs. cold split-budget probes.
+//! The admission cascade's repair/split hot path.
 //!
-//! PR 4 made the *analysis* incremental; this bench pins the cascade
-//! *around* it. `repair_admit_*` drives an arrival that needs one bounded-
-//! repair move into a warm controller; `repair_reject_*` drives an arrival
+//! `repair_admit_journal` drives an arrival that needs one bounded-repair
+//! move into a warm controller; `repair_reject_journal` drives an arrival
 //! whose repair fails on every target — the worst case for rollback, since
-//! every attempt must be undone. The `*_journal` variants rewind the
-//! partition's mutation journal (O(moves)); the `*_clone` variants restore
-//! snapshot clones (O(tasks), the PR 3 behaviour kept behind
-//! `OnlineConfig::builder().journal(false)`). `split_probe_{warm,cold}` admits a
-//! task that must be split, with and without cross-probe warm starts in
-//! the budget binary search. Decisions are byte-identical across all
-//! variants (asserted here and by the `rtabench` CI smoke); only the
-//! latency moves. The journal variants are additionally asserted to
-//! perform zero partition clones.
+//! every attempt rewinds the partition's mutation journal.
+//! `split_probe_warm` admits a task that must be split, with cross-probe
+//! warm starts in the budget binary search. The repair probes are asserted
+//! to perform zero partition clones.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spms_core::Partition;
-use spms_online::{
-    AdmissionController, DecisionKind, DecisionPath, OnlineConfig, OnlineConfigBuilder,
-    WorkloadEvent,
-};
+use spms_online::{AdmissionController, DecisionKind, DecisionPath, OnlineConfig, WorkloadEvent};
 use spms_task::{Task, Time};
 use std::hint::black_box;
 
@@ -35,10 +25,12 @@ fn task(id: u32, wcet_us: u64, period_us: u64) -> Task {
 /// order first-fit packs exactly that way. Bounded repair gets victims of
 /// several sizes to rank; splitting is disabled to keep every probe on
 /// the whole-placement path.
-fn warm_repair_controller(config: OnlineConfigBuilder) -> AdmissionController {
-    let mut controller =
-        AdmissionController::new(config.min_split_budget(Time::from_secs(10)).build())
-            .expect("cores > 0");
+fn warm_repair_controller() -> AdmissionController {
+    let config = OnlineConfig::builder()
+        .cores(CORES)
+        .min_split_budget(Time::from_secs(10))
+        .build();
+    let mut controller = AdmissionController::new(config).expect("cores > 0");
     let mut id = 0u32;
     let mut admit = |c: &mut AdmissionController, wcet_us: u64| {
         let decision = c.handle(WorkloadEvent::Arrive(task(id, wcet_us, 10_000)));
@@ -107,12 +99,10 @@ fn expect_path(controller: &mut AdmissionController, probe: Task, path: Decision
 fn bench_repair_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair_path");
 
-    let journal = warm_repair_controller(OnlineConfig::builder().cores(CORES));
-    let clone_based = warm_repair_controller(OnlineConfig::builder().cores(CORES).journal(false));
+    let journal = warm_repair_controller();
 
-    // Sanity: the probes take the intended paths, identically in both
-    // rollback modes, and the journal cascade performs zero partition
-    // clones deciding them.
+    // Sanity: the probes take the intended paths, and the cascade performs
+    // zero partition clones deciding them.
     {
         let mut j = journal.clone();
         let clones_before = Partition::clone_count();
@@ -124,25 +114,11 @@ fn bench_repair_path(c: &mut Criterion) {
             clones_before,
             "journal-based repair cloned a partition"
         );
-        let mut s = clone_based.clone();
-        expect_path(&mut s, repairable_probe(), DecisionPath::Repair);
-        assert!(!s
-            .handle(WorkloadEvent::Arrive(unrepairable_probe()))
-            .is_admission());
     }
 
     group.bench_function("repair_admit_journal", |b| {
         b.iter_batched(
             || journal.clone(),
-            |mut controller| {
-                black_box(controller.handle(WorkloadEvent::Arrive(repairable_probe())))
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("repair_admit_clone", |b| {
-        b.iter_batched(
-            || clone_based.clone(),
             |mut controller| {
                 black_box(controller.handle(WorkloadEvent::Arrive(repairable_probe())))
             },
@@ -158,32 +134,13 @@ fn bench_repair_path(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-    group.bench_function("repair_reject_clone", |b| {
-        b.iter_batched(
-            || clone_based.clone(),
-            |mut controller| {
-                black_box(controller.handle(WorkloadEvent::Arrive(unrepairable_probe())))
-            },
-            BatchSize::SmallInput,
-        );
-    });
 
     let warm = warm_split_controller(OnlineConfig::builder().cores(CORES).build());
-    let cold = warm_split_controller(
-        OnlineConfig::builder()
-            .cores(CORES)
-            .probe_warm_start(false)
-            .build(),
-    );
     {
-        let mut w = warm.clone();
-        let mut c2 = cold.clone();
-        let a = w.handle(WorkloadEvent::Arrive(split_probe()));
-        let b = c2.handle(WorkloadEvent::Arrive(split_probe()));
-        assert_eq!(a, b, "warm and cold probes decided differently");
+        let decision = warm.clone().handle(WorkloadEvent::Arrive(split_probe()));
         assert!(
             matches!(
-                a.kind,
+                decision.kind,
                 DecisionKind::Admitted {
                     path: DecisionPath::FastSplit,
                     ..
@@ -195,13 +152,6 @@ fn bench_repair_path(c: &mut Criterion) {
     group.bench_function("split_probe_warm", |b| {
         b.iter_batched(
             || warm.clone(),
-            |mut controller| black_box(controller.handle(WorkloadEvent::Arrive(split_probe()))),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("split_probe_cold", |b| {
-        b.iter_batched(
-            || cold.clone(),
             |mut controller| black_box(controller.handle(WorkloadEvent::Arrive(split_probe()))),
             BatchSize::SmallInput,
         );

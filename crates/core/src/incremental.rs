@@ -108,12 +108,6 @@ pub struct IncrementalPlacer {
     pub overhead: OverheadModel,
     /// Smallest body-subtask budget worth carving.
     pub min_split_budget: Time,
-    /// Whether the split-budget binary search threads a
-    /// [`ProbeWarmth`] across its probes of one core (each probe
-    /// warm-starts from the last accepted smaller-budget probe). Verdicts
-    /// are bit-identical either way; disabling exists for benchmarking the
-    /// cold probes the warm starts replace.
-    pub probe_warm_start: bool,
 }
 
 impl Default for IncrementalPlacer {
@@ -122,7 +116,6 @@ impl Default for IncrementalPlacer {
             test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             min_split_budget: Time::from_micros(100),
-            probe_warm_start: true,
         }
     }
 }
@@ -149,13 +142,6 @@ impl IncrementalPlacer {
     /// Sets the smallest admissible body-subtask budget (builder style).
     pub fn with_min_split_budget(mut self, budget: Time) -> Self {
         self.min_split_budget = budget;
-        self
-    }
-
-    /// Enables or disables cross-probe warm starts in the split-budget
-    /// search (builder style).
-    pub fn with_probe_warm_start(mut self, enabled: bool) -> Self {
-        self.probe_warm_start = enabled;
         self
     }
 
@@ -612,7 +598,7 @@ impl IncrementalPlacer {
         // (smaller) budget's converged response times. Bit-identical to
         // cold probes; only the iteration count drops.
         let mut warmth = ProbeWarmth::new();
-        let warm_cache = (self.probe_warm_start && self.test == UniprocessorTest::ResponseTime)
+        let warm_cache = (self.test == UniprocessorTest::ResponseTime)
             .then(|| partition.cached_core(core))
             .flatten();
         crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, |budget| {

@@ -76,4 +76,4 @@ pub use placement::{
 pub use shard::{
     rebalance_partitions, shard_core_counts, stitch_partitions, RebalanceMove, ShardRouter,
 };
-pub use txn::{PlanTxn, Savepoint};
+pub use txn::PlanTxn;

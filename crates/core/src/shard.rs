@@ -153,11 +153,7 @@ fn shard_spare(partition: &Partition) -> f64 {
 /// Each attempt removes the candidate from the donor inside a [`PlanTxn`]
 /// scope, then plans a whole placement on the receiver; if the receiver's
 /// RTA rejects the task the transaction aborts and the donor is rewound
-/// bit-identically before the next candidate is tried. Donors without an
-/// attached journal fall back to planning on the receiver *before*
-/// removing, which needs no rollback scope at all but plans against
-/// slightly staler receiver state (the outcome is identical because donor
-/// and receiver are distinct partitions).
+/// bit-identically before the next candidate is tried.
 ///
 /// `lookup` maps a parent id back to the original (un-inflated) task; ids
 /// it cannot resolve are skipped. `charge_of` is the per-migration WCET
@@ -225,29 +221,18 @@ pub fn rebalance_partitions(
 
         for (id, task) in candidates {
             let charge = charge_of(&task);
-            let migrated = if shards[donor].journal_enabled() {
-                let mut txn = PlanTxn::new();
-                txn.begin(&mut *shards[donor]);
-                shards[donor].remove_parent(id);
-                match placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
-                    Some(plan) => {
-                        placer.commit(shards[receiver], &task, plan);
-                        txn.commit(std::slice::from_mut(&mut shards[donor]));
-                        true
-                    }
-                    None => {
-                        txn.abort(std::slice::from_mut(&mut shards[donor]));
-                        false
-                    }
+            let mut txn = PlanTxn::new();
+            txn.begin(&mut *shards[donor]);
+            shards[donor].remove_parent(id);
+            let migrated = match placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
+                Some(plan) => {
+                    placer.commit(shards[receiver], &task, plan);
+                    txn.commit(std::slice::from_mut(&mut shards[donor]));
+                    true
                 }
-            } else {
-                match placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
-                    Some(plan) => {
-                        shards[donor].remove_parent(id);
-                        placer.commit(shards[receiver], &task, plan);
-                        true
-                    }
-                    None => false,
+                None => {
+                    txn.abort(std::slice::from_mut(&mut shards[donor]));
+                    false
                 }
             };
             if migrated {

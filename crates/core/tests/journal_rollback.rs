@@ -184,8 +184,8 @@ proptest! {
 
     /// A multi-partition [`PlanTxn`] abort restores *every* participant —
     /// placements, priorities and RTA caches — bit-identically, whether a
-    /// participant rolls back via its journal or via a snapshot clone
-    /// (the journal-free fallback). This is the two-phase contract the
+    /// participant carried a journal before the transaction or had one
+    /// attached by [`PlanTxn::begin`]. This is the two-phase contract the
     /// cross-shard split planner leans on.
     #[test]
     fn plan_txn_abort_restores_both_partitions(

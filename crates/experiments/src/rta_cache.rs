@@ -1,22 +1,16 @@
-//! The admission-cascade regression bench: cached vs. from-scratch RTA,
-//! journal vs. clone rollback, warm vs. cold split probes.
+//! The admission-cascade regression bench: cached vs. from-scratch RTA.
 //!
 //! For every point of a target-utilization sweep this driver generates churn
-//! traces and drives **four** controllers over each:
+//! traces and drives **two** controllers over each:
 //!
 //! * `cached` — the production configuration (incremental RTA cache,
 //!   journal-based rollback, cross-probe warm starts),
 //! * `scratch` — RTA cache disabled
-//!   (`OnlineConfig::builder().rta_cache(false)`),
-//! * `clone` — journal disabled (`.journal(false)`): repair/split
-//!   rollback snapshots the whole partition per attempt, the PR 3 baseline,
-//! * `cold` — cross-probe warm starts disabled
-//!   (`.probe_warm_start(false)`).
+//!   (`OnlineConfig::builder().rta_cache(false)`), the from-scratch
+//!   oracle.
 //!
-//! All four must produce byte-identical serialized decision logs (the three
-//! optimisations are pure mechanism; only the policy knob
-//! `OnlineConfig::repair_ranking` may change decisions, and it is held
-//! fixed here). The correctness half of the output (decision counts, the
+//! Both must produce byte-identical serialized decision logs (the cache is
+//! pure mechanism). The correctness half of the output (decision counts, the
 //! log digest, the `decision_logs_identical` verdict, the cap-exhaustion
 //! column) is deterministic and thread-count invariant like every other
 //! sweep; the wall-clock timings are measurement data grouped under a
@@ -46,8 +40,6 @@ struct TraceOutcome {
     journal_clone_free: bool,
     cached: Duration,
     scratch: Duration,
-    clone_rollback: Duration,
-    cold_probe: Duration,
 }
 
 /// Aggregated behaviour at one target-utilization point (deterministic
@@ -58,7 +50,7 @@ pub struct RtaCachePoint {
     pub normalized_utilization: f64,
     /// Arrival events across all traces of this point.
     pub arrivals: u64,
-    /// Arrivals admitted (identical across all controller variants).
+    /// Arrivals admitted (identical for both controllers).
     pub admitted: u64,
     /// RTA fixed-point cap exhaustions while deciding this point's traces
     /// with the cached controller (deterministic; see
@@ -70,22 +62,13 @@ pub struct RtaCachePoint {
 /// one place, so artifact diffs can strip exactly this object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RtaCacheTiming {
-    /// Total nanoseconds deciding every trace with the full cascade
-    /// (cache + journal + warm probes).
+    /// Total nanoseconds deciding every trace with the production cascade.
     pub cached_ns: u64,
     /// Total nanoseconds deciding every trace with from-scratch RTA.
     pub scratch_ns: u64,
-    /// Total nanoseconds with clone-based rollback instead of the journal.
-    pub clone_rollback_ns: u64,
-    /// Total nanoseconds with cold split probes instead of warm starts.
-    pub cold_probe_ns: u64,
     /// `scratch_ns / cached_ns` — how many times faster the cached fast
     /// path answered (> 1.0 means the cache wins).
     pub speedup: f64,
-    /// `clone_rollback_ns / cached_ns` — what journal rollback buys.
-    pub journal_speedup: f64,
-    /// `cold_probe_ns / cached_ns` — what cross-probe warm starts buy.
-    pub warm_probe_speedup: f64,
 }
 
 /// Results of a cascade comparison sweep.
@@ -93,8 +76,7 @@ pub struct RtaCacheTiming {
 pub struct RtaCacheResults {
     points: Vec<RtaCachePoint>,
     /// Whether every trace produced byte-identical serialized decision logs
-    /// from all four controller variants (cached / scratch / clone-rollback
-    /// / cold-probe).
+    /// from the cached and the scratch controller.
     pub decision_logs_identical: bool,
     /// Whether the cached (journal-based) controller decided every trace
     /// without a single partition snapshot clone.
@@ -133,21 +115,13 @@ impl RtaCacheResults {
         out.push_str(&format!(
             "\ndecision logs identical: {} (digest {:#018x})\n\
              journal hot path clone-free: {}\n\
-             cached {} ns vs scratch {} ns — speedup {:.2}x\n\
-             journal vs clone rollback: {} ns vs {} ns — {:.2}x\n\
-             warm vs cold split probes: {} ns vs {} ns — {:.2}x\n",
+             cached {} ns vs scratch {} ns — speedup {:.2}x\n",
             self.decision_logs_identical,
             self.decisions_digest,
             self.journal_clone_free,
             self.timing.cached_ns,
             self.timing.scratch_ns,
             self.timing.speedup,
-            self.timing.cached_ns,
-            self.timing.clone_rollback_ns,
-            self.timing.journal_speedup,
-            self.timing.cached_ns,
-            self.timing.cold_probe_ns,
-            self.timing.warm_probe_speedup,
         ));
         out
     }
@@ -266,12 +240,10 @@ impl RtaCacheBenchmark {
                         .seed(cell.seed)
                         .generate()
                         .ok()?;
-                    let base = || {
-                        OnlineConfig::builder()
-                            .cores(self.cores)
-                            .max_repair_moves(self.max_repair_moves)
-                    };
-                    let config = base().build();
+                    let base = OnlineConfig::builder()
+                        .cores(self.cores)
+                        .max_repair_moves(self.max_repair_moves);
+                    let config = base.clone().build();
 
                     // One untimed warm-up pass absorbs one-time costs
                     // (lazy allocation, code paging) that would otherwise
@@ -286,17 +258,10 @@ impl RtaCacheBenchmark {
                     let cap_exhaustions = rta::thread_cap_exhaustions() - exhaustions_before;
                     let journal_clone_free = Partition::clone_count() == clones_before;
 
-                    let (scratch, scratch_elapsed) =
-                        drive(base().rta_cache(false).build(), &events)?;
-                    let (clone_rollback, clone_elapsed) =
-                        drive(base().journal(false).build(), &events)?;
-                    let (cold_probe, cold_elapsed) =
-                        drive(base().probe_warm_start(false).build(), &events)?;
+                    let (scratch, scratch_elapsed) = drive(base.rta_cache(false).build(), &events)?;
 
                     let cached_log = serialize_log(cached.decisions());
-                    let log_identical = [&scratch, &clone_rollback, &cold_probe]
-                        .iter()
-                        .all(|c| serialize_log(c.decisions()) == cached_log);
+                    let log_identical = serialize_log(scratch.decisions()) == cached_log;
                     Some(TraceOutcome {
                         arrivals: cached.stats().arrivals,
                         admitted: cached.stats().admitted,
@@ -306,8 +271,6 @@ impl RtaCacheBenchmark {
                         journal_clone_free,
                         cached: cached_elapsed,
                         scratch: scratch_elapsed,
-                        clone_rollback: clone_elapsed,
-                        cold_probe: cold_elapsed,
                     })
                 },
             );
@@ -330,8 +293,6 @@ impl RtaCacheBenchmark {
                 digest = fnv1a_combine(digest, outcome.log_digest);
                 timing.cached_ns += outcome.cached.as_nanos() as u64;
                 timing.scratch_ns += outcome.scratch.as_nanos() as u64;
-                timing.clone_rollback_ns += outcome.clone_rollback.as_nanos() as u64;
-                timing.cold_probe_ns += outcome.cold_probe.as_nanos() as u64;
             }
             points.push(RtaCachePoint {
                 normalized_utilization: target,
@@ -340,16 +301,9 @@ impl RtaCacheBenchmark {
                 rta_cap_exhaustions: cap_exhaustions,
             });
         }
-        let ratio = |num: u64, den: u64| {
-            if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            }
-        };
-        timing.speedup = ratio(timing.scratch_ns, timing.cached_ns);
-        timing.journal_speedup = ratio(timing.clone_rollback_ns, timing.cached_ns);
-        timing.warm_probe_speedup = ratio(timing.cold_probe_ns, timing.cached_ns);
+        if timing.cached_ns > 0 {
+            timing.speedup = timing.scratch_ns as f64 / timing.cached_ns as f64;
+        }
         RtaCacheResults {
             points,
             decision_logs_identical: identical,
@@ -413,7 +367,7 @@ mod tests {
         let results = quick().run();
         assert!(
             results.decision_logs_identical,
-            "cached / scratch / clone-rollback / cold-probe logs diverged"
+            "cached / scratch logs diverged"
         );
         assert!(
             results.journal_clone_free,
@@ -452,8 +406,6 @@ mod tests {
         let md = results.render_markdown();
         assert!(md.contains("decision logs identical: true"));
         assert!(md.contains("journal hot path clone-free: true"));
-        assert!(md.contains("journal vs clone rollback"));
-        assert!(md.contains("warm vs cold split probes"));
         assert!(md.contains("speedup"));
         let csv = results.render_csv();
         assert!(csv.starts_with("normalized_utilization,arrivals,admitted,rta_cap_exhaustions"));

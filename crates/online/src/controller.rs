@@ -28,16 +28,13 @@
 //! threads through all four stages — placement and split probes answer from
 //! memoized response times (with warm starts carried *across* the split
 //! planner's budget-search probes), and a full-repartition adoption
-//! re-attaches a fresh cache. Speculative stages run inside the partition's
-//! mutation journal ([`Partition::enable_journal`](spms_core::Partition::enable_journal)):
-//! a failed repair attempt rewinds placements, priorities and cache state
-//! in O(moves) instead of restoring a full-partition snapshot, so the
-//! whole cascade is clone-free (`Partition::clone_count` proves it).
-//! Decisions are bit-identical with the cache, journal and warm starts on
-//! or off ([`OnlineConfig::use_rta_cache`], [`OnlineConfig::use_journal`],
-//! [`OnlineConfig::probe_warm_start`]); only the latency changes. The one
-//! *policy* knob is the repair victim ranking
-//! ([`OnlineConfig::repair_ranking`], slack-guided by default).
+//! re-attaches a fresh cache. Speculative stages run inside a [`PlanTxn`]
+//! on the partition's mutation journal: a failed repair attempt rewinds
+//! placements, priorities and cache state in O(moves), so the whole
+//! cascade is clone-free (`Partition::clone_count` proves it). Decisions
+//! are bit-identical with the cache on or off
+//! ([`OnlineConfig::use_rta_cache`]; off is the from-scratch oracle the
+//! equivalence tests compare against); only the latency changes.
 //!
 //! Every decision is recorded with its path, the number of already-placed
 //! tasks it migrated, and (for rejections) a typed reason. The controller
@@ -56,7 +53,7 @@ use serde::{Deserialize, Serialize};
 use spms_analysis::{OverheadModel, UniprocessorTest};
 use spms_core::{
     CoreId, IncrementalPlacer, Partition, PartitionOutcome, Partitioner, PlacementPlan, PlanTxn,
-    Savepoint, SemiPartitionedFpTs, WholeProbe,
+    SemiPartitionedFpTs, WholeProbe,
 };
 use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
@@ -119,24 +116,9 @@ pub struct OnlineConfig {
     pub allow_fallback: bool,
     /// Whether the live partition carries the incremental RTA cache
     /// (effective only with [`UniprocessorTest::ResponseTime`]). Decisions
-    /// are bit-identical either way; disabling it exists for benchmarking
-    /// the from-scratch analysis the cache replaces.
+    /// are bit-identical either way; disabling it runs the from-scratch
+    /// analysis the cache is checked against.
     pub use_rta_cache: bool,
-    /// Whether repair/split rollback runs on the partition's mutation
-    /// journal (`rewind` to a mark, O(moves)) instead of cloning the whole
-    /// partition per attempt. Decisions are bit-identical either way;
-    /// disabling it exists for benchmarking the clone-based rollback the
-    /// journal replaces.
-    pub use_journal: bool,
-    /// Whether the split-budget binary search carries warm starts across
-    /// its probes of one core (effective only with the RTA cache).
-    /// Decisions are bit-identical either way; disabling it exists for
-    /// benchmarking the cold probes the warm starts replace.
-    pub probe_warm_start: bool,
-    /// How the bounded-repair pass ranks eviction victims. This is a
-    /// *policy* knob: the two rankings can make genuinely different (both
-    /// sound) admit/reject decisions.
-    pub repair_ranking: RepairRanking,
     /// What one migration costs a task in extra WCET. Every split hop,
     /// repair relocation and rebalance move must stay schedulable *after*
     /// the affected task's analysis WCET absorbs this charge. The default
@@ -188,32 +170,6 @@ impl Default for DegradePolicy {
     }
 }
 
-/// Victim-ranking policy of the bounded-repair pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum RepairRanking {
-    /// Slack-guided (the default): localize the blocker — the task whose
-    /// `deadline − response` slack goes negative with the arrival added —
-    /// then evict the smallest task whose removal provably unblocks the
-    /// arrival (exact what-if probes, candidates that cannot relieve the
-    /// blocker pruned). Split chains are movable (chain-aware relocation).
-    /// Falls back to freeing the most capacity per move when no single
-    /// eviction opens the hole.
-    #[default]
-    Slack,
-    /// Largest utilization first (PR 3 behaviour): free the most capacity
-    /// per move, never touching split chains.
-    Utilization,
-}
-
-impl fmt::Display for RepairRanking {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RepairRanking::Slack => write!(f, "slack"),
-            RepairRanking::Utilization => write!(f, "utilization"),
-        }
-    }
-}
-
 impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
@@ -224,9 +180,6 @@ impl Default for OnlineConfig {
             max_repair_moves: 2,
             allow_fallback: true,
             use_rta_cache: true,
-            use_journal: true,
-            probe_warm_start: true,
-            repair_ranking: RepairRanking::Slack,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
             degrade: None,
@@ -251,69 +204,6 @@ impl OnlineConfig {
         OnlineConfigBuilder {
             config: OnlineConfig::default(),
         }
-    }
-
-    /// Replaces the acceptance test (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().test(..)")]
-    pub fn with_test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
-    }
-
-    /// Replaces the overhead model (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().overhead(..)")]
-    pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
-        self.overhead = overhead;
-        self
-    }
-
-    /// Sets the repair bound `k` (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().max_repair_moves(..)")]
-    pub fn with_max_repair_moves(mut self, k: usize) -> Self {
-        self.max_repair_moves = k;
-        self
-    }
-
-    /// Enables or disables the full-repartition fallback (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().fallback(..)")]
-    pub fn with_fallback(mut self, allow: bool) -> Self {
-        self.allow_fallback = allow;
-        self
-    }
-
-    /// Sets the smallest admissible body-subtask budget (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().min_split_budget(..)")]
-    pub fn with_min_split_budget(mut self, budget: Time) -> Self {
-        self.min_split_budget = budget;
-        self
-    }
-
-    /// Enables or disables the incremental RTA cache (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().rta_cache(..)")]
-    pub fn with_rta_cache(mut self, enabled: bool) -> Self {
-        self.use_rta_cache = enabled;
-        self
-    }
-
-    /// Enables or disables journal-based rollback (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().journal(..)")]
-    pub fn with_journal(mut self, enabled: bool) -> Self {
-        self.use_journal = enabled;
-        self
-    }
-
-    /// Enables or disables cross-probe warm starts (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().probe_warm_start(..)")]
-    pub fn with_probe_warm_start(mut self, enabled: bool) -> Self {
-        self.probe_warm_start = enabled;
-        self
-    }
-
-    /// Sets the repair victim-ranking policy (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().repair_ranking(..)")]
-    pub fn with_repair_ranking(mut self, ranking: RepairRanking) -> Self {
-        self.repair_ranking = ranking;
-        self
     }
 }
 
@@ -366,24 +256,6 @@ impl OnlineConfigBuilder {
     /// Enables or disables the incremental RTA cache.
     pub fn rta_cache(mut self, enabled: bool) -> Self {
         self.config.use_rta_cache = enabled;
-        self
-    }
-
-    /// Enables or disables journal-based rollback.
-    pub fn journal(mut self, enabled: bool) -> Self {
-        self.config.use_journal = enabled;
-        self
-    }
-
-    /// Enables or disables cross-probe warm starts.
-    pub fn probe_warm_start(mut self, enabled: bool) -> Self {
-        self.config.probe_warm_start = enabled;
-        self
-    }
-
-    /// Sets the repair victim-ranking policy.
-    pub fn repair_ranking(mut self, ranking: RepairRanking) -> Self {
-        self.config.repair_ranking = ranking;
         self
     }
 
@@ -701,16 +573,12 @@ impl AdmissionController {
         let placer = IncrementalPlacer::new()
             .with_test(config.test)
             .with_overhead(config.overhead)
-            .with_min_split_budget(config.min_split_budget)
-            .with_probe_warm_start(config.probe_warm_start);
+            .with_min_split_budget(config.min_split_budget);
         let mut partition = Partition::new(config.cores);
         // The cache pays off only under the exact RTA (the utilization
         // bounds are already O(n) per probe).
         if config.use_rta_cache && config.test == UniprocessorTest::ResponseTime {
             partition.enable_analysis_cache();
-        }
-        if config.use_journal {
-            partition.enable_journal();
         }
         if config.cross_shard_split {
             partition.allow_partial_chains();
@@ -1005,12 +873,11 @@ impl AdmissionController {
     // ------------------------------------------------------------------
 
     /// Tries to open a hole for `task` on some core by relocating at most
-    /// `k` already-placed tasks (whole-first, re-split if needed). Restores
-    /// the partition whenever a target core cannot be freed — by rewinding
-    /// the mutation journal ([`OnlineConfig::use_journal`], O(moves)) or by
-    /// restoring a snapshot clone (O(tasks), kept for benchmarking).
-    /// Returns the number of tasks moved and the total WCET inflation the
-    /// cost model charged to the relocated victims on success.
+    /// `k` already-placed tasks (whole-first, re-split if needed). Rewinds
+    /// the partition's mutation journal (O(moves)) whenever a target core
+    /// cannot be freed. Returns the number of tasks moved and the total
+    /// WCET inflation the cost model charged to the relocated victims on
+    /// success.
     fn try_repair(&mut self, task: &Task) -> Option<(usize, Time)> {
         if self.config.max_repair_moves == 0 {
             return None;
@@ -1037,8 +904,7 @@ impl AdmissionController {
     /// the core needing the least utilization shed is tried first, so the
     /// common case commits on the first attempt and rejected-target rewinds
     /// drop. Ties break on core index, keeping the order deterministic and
-    /// independent of every pure-mechanism knob (cache / journal / warm
-    /// probes).
+    /// independent of whether the RTA cache is attached.
     fn repair_target_order(&self, task: &Task) -> Vec<CoreId> {
         let utilizations = self.partition.core_utilizations();
         let mut scored: Vec<(bool, f64, usize)> = (0..self.config.cores)
@@ -1094,40 +960,6 @@ impl AdmissionController {
         }
     }
 
-    /// The next task worth evicting from `target` under the configured
-    /// ranking policy.
-    fn pick_victim(&self, target: CoreId, arrival: &Task, immovable: &[TaskId]) -> Option<TaskId> {
-        match self.config.repair_ranking {
-            RepairRanking::Utilization => self.pick_victim_by_utilization(target, immovable),
-            RepairRanking::Slack => self.pick_victim_by_slack(target, arrival, immovable),
-        }
-    }
-
-    /// Largest utilization first (freeing the most capacity per move), ties
-    /// broken by id for determinism. Split parents are never victims here —
-    /// the historical PR 3 policy. Parents with remote pieces are never
-    /// victims either: relocating the local piece would orphan siblings on
-    /// other shards.
-    fn pick_victim_by_utilization(&self, target: CoreId, immovable: &[TaskId]) -> Option<TaskId> {
-        let mut candidates: Vec<(f64, TaskId)> = self
-            .partition
-            .core(target)
-            .iter()
-            .filter(|p| {
-                !p.is_split()
-                    && !immovable.contains(&p.parent)
-                    && !self.remote_parents.contains(&p.parent)
-            })
-            .map(|p| (p.task.utilization(), p.parent))
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        candidates.first().map(|(_, id)| *id)
-    }
-
     /// Slack-guided victim choice: localize the blocker (the task whose
     /// `deadline − response` slack goes negative with the arrival added),
     /// prune candidates that provably cannot relieve it, then evict the
@@ -1135,13 +967,10 @@ impl AdmissionController {
     /// unblock the arrival. Split parents are candidates too (chain-aware
     /// relocation: evicting one piece relocates the whole chain). When no
     /// single eviction opens the hole, falls back to freeing the most
-    /// capacity per move so multi-move repair still progresses.
-    fn pick_victim_by_slack(
-        &self,
-        target: CoreId,
-        arrival: &Task,
-        immovable: &[TaskId],
-    ) -> Option<TaskId> {
+    /// capacity per move so multi-move repair still progresses. Parents
+    /// with remote pieces are never victims: relocating the local piece
+    /// would orphan siblings on other shards.
+    fn pick_victim(&self, target: CoreId, arrival: &Task, immovable: &[TaskId]) -> Option<TaskId> {
         let candidates: Vec<(f64, TaskId)> = {
             let mut c: Vec<(f64, TaskId)> = self
                 .partition
@@ -1257,12 +1086,12 @@ impl AdmissionController {
     /// charge folded in (a relocated whole absorbs one charge; a re-split
     /// charges each later piece), so the move commits only if the inflated
     /// placement stays schedulable. Returns the inflation charged on
-    /// success; on failure the partition is unchanged — via an inner
-    /// journal mark, or an inner snapshot when the journal is disabled.
+    /// success; on failure the partition is rewound to an inner journal
+    /// mark, leaving the enclosing repair scope open.
     fn relocate(&mut self, victim: TaskId, target: CoreId) -> Option<Time> {
         let original = self.admitted.get(&victim).cloned()?;
         let charge = self.migration_charge(&original);
-        let inner = self.inner_rollback_point();
+        let inner = self.partition.journal_mark();
         self.partition.remove_parent(victim);
         if let Some(plan) = self
             .placer
@@ -1272,7 +1101,7 @@ impl AdmissionController {
             self.placer.commit(&mut self.partition, &original, plan);
             Some(inflation)
         } else {
-            self.restore_inner(inner);
+            self.partition.rewind(inner);
             None
         }
     }
@@ -1284,11 +1113,8 @@ impl AdmissionController {
     // Repair scopes run on the shared [`PlanTxn`] abstraction from
     // `spms-core` — the same transaction type the sharded service spans
     // across several partitions for cross-shard split planning. A solo
-    // controller always opens single-scope transactions on its own
-    // partition, which [`PlanTxn`] dispatches exactly as the old plumbing
-    // did: a journal scope when the partition carries a mutation journal
-    // (`use_journal`, which is precisely when the journal is attached in
-    // [`new`](Self::new)), a snapshot clone otherwise.
+    // controller opens single-scope transactions on its own partition;
+    // the first one attaches the mutation journal.
 
     /// Opens a speculative scope around one repair attempt.
     fn begin_rollback(&mut self) -> PlanTxn {
@@ -1305,18 +1131,6 @@ impl AdmissionController {
     /// Discards the speculative mutations (the attempt failed).
     fn abort_rollback(&mut self, txn: PlanTxn) {
         txn.abort(std::slice::from_mut(&mut &mut self.partition));
-    }
-
-    /// A nested rollback point *inside* an open repair scope (one
-    /// speculative relocation). With the journal this is just a mark — the
-    /// outer scope keeps recording.
-    fn inner_rollback_point(&mut self) -> Savepoint {
-        Savepoint::capture(&self.partition)
-    }
-
-    /// Restores a nested rollback point without closing the outer scope.
-    fn restore_inner(&mut self, inner: Savepoint) {
-        inner.restore(&mut self.partition);
     }
 
     // ------------------------------------------------------------------
@@ -1357,13 +1171,11 @@ impl AdmissionController {
                     new.renormalize_core_priorities(CoreId(core));
                 }
                 // The adopted partition is a fresh object: re-attach the
-                // incremental analysis cache and the mutation journal the
-                // cascade threads through every later decision.
+                // incremental analysis cache the cascade threads through
+                // every later decision (the next repair scope re-attaches
+                // the journal).
                 if self.partition.analysis_cache_enabled() {
                     new.enable_analysis_cache();
-                }
-                if self.config.use_journal {
-                    new.enable_journal();
                 }
                 if self.config.cross_shard_split {
                     new.allow_partial_chains();
@@ -1402,61 +1214,54 @@ impl AdmissionController {
     }
 }
 
-/// The controller *is* the production admission shard: one decision
-/// cascade over one partition slice. See [`AdmissionShard`](crate::AdmissionShard)
-/// for the bookkeeping contract of the rebalancer plumbing methods.
-impl crate::AdmissionShard for AdmissionController {
-    fn decide(&mut self, event: &WorkloadEvent) -> Decision {
-        self.handle_event(event)
-    }
-
-    fn resident(&self, id: TaskId) -> bool {
-        self.is_admitted(id)
-    }
-
-    fn admitted_utilization(&self) -> f64 {
-        AdmissionController::admitted_utilization(self)
-    }
-
-    fn core_count(&self) -> usize {
-        self.config.cores
-    }
-
-    fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    fn partition_mut(&mut self) -> &mut Partition {
+/// Service plumbing: the sharded service moves placements between shard
+/// partitions (rebalancing, cross-shard splits) and then patches each
+/// shard's admission bookkeeping through these methods. Mutating the
+/// partition without maintaining that bookkeeping breaks the controller's
+/// invariants.
+impl AdmissionController {
+    /// Mutable access to the live partition.
+    pub(crate) fn partition_mut(&mut self) -> &mut Partition {
         &mut self.partition
     }
 
-    fn lookup_admitted(&self, id: TaskId) -> Option<Task> {
-        self.admitted.get(&id).cloned()
-    }
-
-    fn forget_admitted(&mut self, id: TaskId) -> Option<Task> {
-        self.admitted.remove(&id)
-    }
-
-    fn note_admitted(&mut self, task: Task) {
-        self.admitted.insert(task.id(), task);
-    }
-
-    fn note_remote_admitted(&mut self, piece: Task) {
-        self.remote_parents.insert(piece.id());
-        self.admitted.insert(piece.id(), piece);
-    }
-
-    fn placer(&self) -> &IncrementalPlacer {
+    /// The placer whose policy governs this controller's placements.
+    pub(crate) fn placer(&self) -> &IncrementalPlacer {
         &self.placer
     }
 
-    fn cost_model(&self) -> CostModelSpec {
-        self.config.cost_model.clone()
+    /// Spare capacity: cores minus admitted utilization, clamped at zero.
+    pub(crate) fn spare_utilization(&self) -> f64 {
+        (self.config.cores as f64 - self.admitted_utilization()).max(0.0)
     }
 
-    fn metrics_registry(&self) -> Option<&spms_telemetry::Registry> {
-        Some(self.metrics.registry())
+    /// Drops a task from the admission bookkeeping without touching the
+    /// partition.
+    pub(crate) fn forget_admitted(&mut self, id: TaskId) -> Option<Task> {
+        self.admitted.remove(&id)
+    }
+
+    /// Registers a task in the admission bookkeeping without touching the
+    /// partition.
+    pub(crate) fn note_admitted(&mut self, task: Task) {
+        self.admitted.insert(task.id(), task);
+    }
+
+    /// Places one planned cross-shard piece and renormalizes its core's
+    /// priorities. The caller wraps donor and receiver in one [`PlanTxn`]
+    /// so a refused piece rewinds every participant.
+    pub(crate) fn commit_remote_piece(&mut self, core: CoreId, placed: spms_core::PlacedTask) {
+        self.partition.place(core, placed);
+        self.partition.renormalize_core_priorities(core);
+    }
+
+    /// Registers a cross-shard *piece* (the piece-shaped analysis task, so
+    /// utilization accounting reflects only the local share) and pins its
+    /// parent against local repair relocation and the full-repartition
+    /// fallback.
+    pub(crate) fn note_remote_admitted(&mut self, piece: Task) {
+        self.remote_parents.insert(piece.id());
+        self.admitted.insert(piece.id(), piece);
     }
 }
 
@@ -1746,58 +1551,9 @@ mod tests {
     }
 
     #[test]
-    fn journal_and_clone_rollback_decide_identically() {
-        // The journal is pure mechanism: same decisions, same partitions,
-        // same stats as the clone-snapshot rollback it replaces — across a
-        // churn trace heavy enough to exercise repair and fallback.
-        let events = crate::ChurnGenerator::new()
-            .cores(2)
-            .target_normalized_utilization(0.95)
-            .events(120)
-            .seed(11)
-            .generate()
-            .unwrap();
-        let mut journal = AdmissionController::new(OnlineConfig::new(2)).unwrap();
-        let mut clone =
-            AdmissionController::new(OnlineConfig::builder().cores(2).journal(false).build())
-                .unwrap();
-        assert_eq!(journal.handle_all(&events), clone.handle_all(&events));
-        assert_eq!(journal.partition(), clone.partition());
-        assert_eq!(journal.stats(), clone.stats());
-    }
-
-    #[test]
-    fn warm_and_cold_probes_decide_identically() {
-        // Cross-probe warm starts only change iteration counts, never
-        // verdicts: identical decisions on a split-heavy trace.
-        let events = crate::ChurnGenerator::new()
-            .cores(4)
-            .target_normalized_utilization(0.95)
-            .events(120)
-            .seed(13)
-            .generate()
-            .unwrap();
-        let mut warm = AdmissionController::new(OnlineConfig::new(4)).unwrap();
-        let mut cold = AdmissionController::new(
-            OnlineConfig::builder()
-                .cores(4)
-                .probe_warm_start(false)
-                .build(),
-        )
-        .unwrap();
-        assert_eq!(warm.handle_all(&events), cold.handle_all(&events));
-        assert_eq!(warm.partition(), cold.partition());
-        assert!(
-            warm.stats().fast_split > 0,
-            "the trace never exercised the split path"
-        );
-    }
-
-    #[test]
     fn journal_cascade_is_clone_free() {
-        // The acceptance criterion of the journal refactor: no
-        // full-partition clones remain anywhere on the decision hot path
-        // (repair rollback included) when the journal is enabled.
+        // No full-partition clones anywhere on the decision hot path,
+        // repair rollback included.
         let events = crate::ChurnGenerator::new()
             .cores(2)
             .target_normalized_utilization(0.95)
@@ -1829,12 +1585,11 @@ mod tests {
         //
         // Only evicting SMALL unblocks P0 (M's blocker is M itself, and
         // SMALL is the interference above it — evicting BIG, ranked below
-        // M, frees nothing M can use). Utilization ranking evicts BIG
-        // first anyway: the move *succeeds* (BIG fits on P1), burns the
-        // single repair move, and M is still blocked — the arrival is
-        // rejected. Slack-guided ranking probes SMALL first (smallest
-        // candidate that provably unblocks), relocates it to P1 and admits
-        // M with the same single move.
+        // M, frees nothing M can use). A largest-utilization-first ranking
+        // would evict BIG, burn the single repair move and reject M. The
+        // slack-guided ranking probes SMALL first (smallest candidate that
+        // provably unblocks), relocates it to P1 and admits M with the
+        // same single move.
         let constrained = |id: u32, wcet_ms: u64, deadline_ms: u64| {
             Task::builder(id)
                 .wcet(Time::from_millis(wcet_ms))
@@ -1849,28 +1604,17 @@ mod tests {
             constrained(4, 30, 59),  // L → P0 rejected (BIG at 101) → P1
             constrained(9, 30, 50),  // M: the contested arrival
         ];
-        let config = two_cores_no_split().max_repair_moves(1).fallback(false);
-        let run = |ranking: RepairRanking| {
-            let mut c =
-                AdmissionController::new(config.clone().repair_ranking(ranking).build()).unwrap();
-            let decisions: Vec<DecisionKind> =
-                trace.iter().map(|t| arrive(&mut c, t.clone())).collect();
-            (decisions, c)
-        };
-
-        let (util_decisions, util) = run(RepairRanking::Utilization);
+        let config = two_cores_no_split()
+            .max_repair_moves(1)
+            .fallback(false)
+            .build();
+        let mut slack = AdmissionController::new(config).unwrap();
+        let decisions: Vec<DecisionKind> = trace
+            .iter()
+            .map(|t| arrive(&mut slack, t.clone()))
+            .collect();
         assert_eq!(
-            util_decisions[3],
-            DecisionKind::Rejected {
-                reason: RejectionReason::NoFeasiblePlacement
-            },
-            "utilization ranking should burn its move on BIG and reject M"
-        );
-        assert!(util.partition().is_schedulable(util.config().test));
-
-        let (slack_decisions, slack) = run(RepairRanking::Slack);
-        assert_eq!(
-            slack_decisions[3],
+            decisions[3],
             DecisionKind::Admitted {
                 path: DecisionPath::Repair,
                 migrations: 1,
@@ -1891,9 +1635,8 @@ mod tests {
 
     #[test]
     fn slack_ranking_relocates_split_chains() {
-        // Chain-aware relocation: under slack ranking a split parent is a
-        // legal victim — its whole chain is removed and re-placed. The
-        // utilization ranking never touches split parents.
+        // Chain-aware relocation: a split parent is a legal victim — its
+        // whole chain is removed and re-placed.
         let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
         for id in 0..2 {
             arrive(&mut c, task(id, 6, 10));
@@ -2159,34 +1902,6 @@ mod tests {
         assert!(charged_c
             .partition()
             .is_schedulable(charged_c.config().test));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_methods_still_match_the_builder() {
-        // The shims stay until the next breaking release; they must keep
-        // producing exactly the config the builder produces.
-        let via_builder = OnlineConfig::builder()
-            .cores(3)
-            .test(UniprocessorTest::ResponseTime)
-            .min_split_budget(Time::from_millis(1))
-            .max_repair_moves(5)
-            .fallback(false)
-            .rta_cache(false)
-            .journal(false)
-            .probe_warm_start(false)
-            .repair_ranking(RepairRanking::Utilization)
-            .build();
-        let via_shims = OnlineConfig::new(3)
-            .with_test(UniprocessorTest::ResponseTime)
-            .with_min_split_budget(Time::from_millis(1))
-            .with_max_repair_moves(5)
-            .with_fallback(false)
-            .with_rta_cache(false)
-            .with_journal(false)
-            .with_probe_warm_start(false)
-            .with_repair_ranking(RepairRanking::Utilization);
-        assert_eq!(via_builder, via_shims);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use spms_faults::{FaultKind, FaultPlan};
 use spms_task::{TaskId, Time};
 use spms_telemetry::{Snapshot, SnapshotFilter};
 
-use crate::{AdmissionShard, Decision, ShardedAdmission, TimedEvent, WorkloadEvent};
+use crate::{Decision, ShardedAdmission, TimedEvent, WorkloadEvent};
 
 /// How many per-tick rebalance snapshots the loop retains when
 /// [`EventLoopConfig::snapshot_on_rebalance`] is set.
@@ -313,17 +313,17 @@ impl EventLoop {
     }
 
     /// Runs until the heap is empty, dispatching every event to `engine`.
-    pub fn run<S: AdmissionShard>(&mut self, engine: &mut ShardedAdmission<S>) {
+    pub fn run(&mut self, engine: &mut ShardedAdmission) {
         self.run_with(engine, |_, _| {});
     }
 
     /// [`run`](Self::run) with an observer called after every decision —
     /// the hook the soak experiment uses to sample schedulability
     /// replays.
-    pub fn run_with<S: AdmissionShard>(
+    pub fn run_with(
         &mut self,
-        engine: &mut ShardedAdmission<S>,
-        mut observer: impl FnMut(&ShardedAdmission<S>, &Decision),
+        engine: &mut ShardedAdmission,
+        mut observer: impl FnMut(&ShardedAdmission, &Decision),
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.shuffle_seed);
         if let Some(period) = self.config.rebalance_period {
@@ -416,12 +416,12 @@ impl EventLoop {
         }
     }
 
-    fn dispatch<S: AdmissionShard>(
+    fn dispatch(
         &mut self,
-        engine: &mut ShardedAdmission<S>,
+        engine: &mut ShardedAdmission,
         at: Time,
         event: WorkloadEvent,
-        observer: &mut impl FnMut(&ShardedAdmission<S>, &Decision),
+        observer: &mut impl FnMut(&ShardedAdmission, &Decision),
     ) {
         let decision = engine.handle_event(&event);
         if decision.is_admission() {
@@ -443,7 +443,7 @@ impl EventLoop {
     /// reach the engine — they are logged as processed and counted, but
     /// make no admission decision. Renewals of non-resident tasks (or in
     /// lease-free runs) extend nothing.
-    fn renew<S: AdmissionShard>(&mut self, engine: &ShardedAdmission<S>, at: Time, id: TaskId) {
+    fn renew(&mut self, engine: &ShardedAdmission, at: Time, id: TaskId) {
         if let Some(lease) = self.config.lease {
             if engine.resident_shard(id).is_some() && self.lease_deadlines.contains_key(&id) {
                 let due = at + lease;

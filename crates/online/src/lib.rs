@@ -21,7 +21,7 @@
 //!   configurable offered load,
 //! * [`replay`](mod@replay) — feeds each admitted epoch through the
 //!   `spms-sim` discrete-event simulator to confirm zero deadline misses,
-//! * [`ShardedAdmission`] / [`AdmissionShard`] — the fleet-scale service:
+//! * [`ShardedAdmission`] — the fleet-scale service:
 //!   N independent controller shards behind a hash + utilization-aware
 //!   [`ShardRouter`](spms_core::ShardRouter) with cross-shard overflow
 //!   placement and periodic work-stealing rebalance,
@@ -67,7 +67,7 @@ mod service;
 pub use churn::{inject_renewals, ChurnFamily, ChurnGenerator};
 pub use controller::{
     AdmissionController, ControllerStats, Decision, DecisionKind, DecisionPath, DegradePolicy,
-    OnlineConfig, OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
+    OnlineConfig, OnlineConfigBuilder, OnlineError, RejectionReason,
 };
 pub use event::{parse_trace, TimedEvent, TraceError, WorkloadEvent};
 pub use event_loop::{
@@ -75,4 +75,4 @@ pub use event_loop::{
 };
 pub use metrics::{EngineMetrics, RebalanceTick, DEFAULT_TRACE_RING_CAPACITY};
 pub use replay::{run_trace, ReplayConfig, ReplayOutcome};
-pub use service::{AdmissionShard, FaultStats, ServiceStats, ShardHealth, ShardedAdmission};
+pub use service::{FaultStats, ServiceStats, ShardHealth, ShardedAdmission};

@@ -22,7 +22,10 @@
 //!   folded in from the [`scoped`] hot counters, routing overflow and
 //!   rebalance activity.
 //! * `spms_timing_*` metrics hold every wall-clock figure: per-decision
-//!   and per-stage latency histograms and a decisions/sec gauge.
+//!   and per-stage latency histograms and a decisions/sec gauge. A sharded
+//!   service keeps `spms_timing_decision_latency_ns` to one sample per
+//!   service decision and exposes its shards' own decision spans as
+//!   `spms_timing_shard_decision_latency_ns` in the merged view.
 
 use std::collections::VecDeque;
 
@@ -35,6 +38,13 @@ use crate::{DecisionKind, DecisionPath, RejectionReason};
 
 /// How many per-decision stage traces an engine retains by default.
 pub const DEFAULT_TRACE_RING_CAPACITY: usize = 256;
+
+/// The per-decision latency histogram, one sample per decision the engine
+/// owns.
+pub(crate) const DECISION_LATENCY: &str = "spms_timing_decision_latency_ns";
+
+/// The shards' own decision spans in a sharded service's merged registry.
+pub(crate) const SHARD_DECISION_LATENCY: &str = "spms_timing_shard_decision_latency_ns";
 
 /// How many rebalance ticks the per-tick history retains.
 pub const REBALANCE_HISTORY_CAPACITY: usize = 64;
@@ -233,8 +243,7 @@ impl EngineMetrics {
             audit_checks: mech(&mut registry, "spms_mech_audit_checks_total"),
             audit_violations: mech(&mut registry, "spms_mech_audit_violations_total"),
             audit_repairs: mech(&mut registry, "spms_mech_audit_repairs_total"),
-            decision_latency: registry
-                .histogram("spms_timing_decision_latency_ns", MetricClass::Timing),
+            decision_latency: registry.histogram(DECISION_LATENCY, MetricClass::Timing),
             stage_latency: STAGES.map(|stage| {
                 registry.histogram(
                     &format!("spms_timing_stage_{}_ns", stage_name(stage)),

@@ -4,10 +4,10 @@
 //! [`AdmissionController`](crate::AdmissionController) to fleet-sized
 //! workloads by splitting the machine's core set into N independent shards
 //! ([`shard_core_counts`]), each a full admission cascade over its own
-//! [`Partition`] with a private mutation journal and RTA cache. The
-//! cascade is reached through the [`AdmissionShard`] trait, so the service
-//! is generic over the shard implementation (the production shard is the
-//! `AdmissionController` itself).
+//! [`Partition`] with a private mutation journal and RTA cache. Every
+//! shard is an `AdmissionController`; the service reaches into its
+//! partition and admission bookkeeping only for cross-shard planning,
+//! rebalancing and failover.
 //!
 //! Arrivals are routed by a [`ShardRouter`]: the deterministic home shard
 //! is offered the task first, and when it rejects, the remaining shards
@@ -29,129 +29,19 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use spms_core::{
-    rebalance_partitions, shard_core_counts, CacheAuditVerdict, CoreId, IncrementalPlacer,
-    Partition, PlacedTask, PlanTxn, ShardRouter, SplitInfo, SubtaskKind,
+    rebalance_partitions, shard_core_counts, CacheAuditVerdict, CoreId, Partition, PlacedTask,
+    PlanTxn, ShardRouter, SplitInfo, SubtaskKind,
 };
 use spms_faults::FaultKind;
-use spms_overhead::{CostModel, CostModelSpec};
+use spms_overhead::CostModel;
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, Histogram, MetricClass, Registry};
 
-use crate::metrics::EngineMetrics;
+use crate::metrics::{EngineMetrics, DECISION_LATENCY, SHARD_DECISION_LATENCY};
 use crate::{
     AdmissionController, ControllerStats, Decision, DecisionKind, DecisionPath, OnlineConfig,
     OnlineError, RejectionReason, WorkloadEvent,
 };
-
-/// The decision cascade of one admission shard, as the service consumes
-/// it: decide events, report capacity, and expose the bookkeeping hooks
-/// the cross-shard rebalancer needs.
-///
-/// The production implementation is [`AdmissionController`]; the trait
-/// exists so the service layer (routing, overflow, rebalancing, the event
-/// loop) is independent of the cascade internals and testable against
-/// mock shards.
-///
-/// The `partition_mut` / `forget_admitted` / `note_admitted` trio is
-/// rebalancer plumbing: the service moves a task's placements between
-/// shard partitions and then patches both shards' admission bookkeeping.
-/// Calling `partition_mut` without maintaining that bookkeeping breaks
-/// the shard's invariants.
-pub trait AdmissionShard {
-    /// Decides one workload event, recording it in the shard's own log.
-    fn decide(&mut self, event: &WorkloadEvent) -> Decision;
-    /// Whether this shard currently hosts the task.
-    fn resident(&self, id: TaskId) -> bool;
-    /// Total utilization of the tasks admitted on this shard (original
-    /// parameters, not overhead-inflated).
-    fn admitted_utilization(&self) -> f64;
-    /// Number of processor cores this shard owns.
-    fn core_count(&self) -> usize;
-    /// The shard's live partition.
-    fn partition(&self) -> &Partition;
-    /// Mutable access to the shard's partition (rebalancer plumbing).
-    fn partition_mut(&mut self) -> &mut Partition;
-    /// The admitted copy (original parameters) of one task, if resident.
-    fn lookup_admitted(&self, id: TaskId) -> Option<Task>;
-    /// Drops a task from the shard's admission bookkeeping without
-    /// touching the partition (rebalancer plumbing).
-    fn forget_admitted(&mut self, id: TaskId) -> Option<Task>;
-    /// Registers a task in the shard's admission bookkeeping without
-    /// touching the partition (rebalancer plumbing).
-    fn note_admitted(&mut self, task: Task);
-    /// The placer whose policy governs this shard's placements.
-    fn placer(&self) -> &IncrementalPlacer;
-
-    /// The shard's metrics registry, if it keeps one. The service folds
-    /// the mechanism and timing sections of every shard registry into its
-    /// [merged view](ShardedAdmission::merged_metrics_registry); outcome
-    /// counters stay with the service's own final-decision stream (a
-    /// shard's outcome counters describe per-shard `decide` attempts,
-    /// which overflow retries would double-count).
-    fn metrics_registry(&self) -> Option<&Registry> {
-        None
-    }
-
-    /// The migration cost model this shard charges (the rebalancer charges
-    /// cross-shard moves with the same model). Free by default.
-    fn cost_model(&self) -> CostModelSpec {
-        CostModelSpec::Zero
-    }
-
-    /// Spare capacity of this shard: cores minus admitted utilization,
-    /// clamped at zero.
-    fn spare_utilization(&self) -> f64 {
-        (self.core_count() as f64 - self.admitted_utilization()).max(0.0)
-    }
-
-    // --------------------------------------------------------------
-    // cross-shard split planning (piece-level entry points)
-    // --------------------------------------------------------------
-
-    /// Plans the *body* piece of a shard-spanning split on this shard:
-    /// binary-searches the largest schedulable body budget over this
-    /// shard's cores (most-spare first), with `charge` — the cross-shard
-    /// migration cost — folded into the piece's analysis WCET. Pure: the
-    /// partition is not mutated. Returns the hosting core, the analysis
-    /// piece and the chosen runtime budget.
-    fn plan_remote_body(&self, task: &Task, charge: Time) -> Option<(CoreId, Task, Time)> {
-        self.placer()
-            .plan_remote_body(self.partition(), task, charge)
-    }
-
-    /// Plans the *tail* piece of a shard-spanning split on this shard:
-    /// `budget` is the execution left after the remote body, `offset` the
-    /// tail's release offset (the body's analysis WCET), `charge` the
-    /// cross-shard migration cost folded into the tail's WCET. Pure.
-    fn plan_remote_tail(
-        &self,
-        task: &Task,
-        budget: Time,
-        offset: Time,
-        charge: Time,
-    ) -> Option<(CoreId, Task)> {
-        self.placer()
-            .plan_remote_tail(self.partition(), task, budget, offset, charge)
-    }
-
-    /// Places one planned cross-shard piece on this shard's partition and
-    /// renormalizes the core's priorities. The caller wraps donor and
-    /// receiver in one [`PlanTxn`] so a refused piece rewinds every
-    /// participant.
-    fn commit_remote_piece(&mut self, core: CoreId, placed: PlacedTask) {
-        self.partition_mut().place(core, placed);
-        self.partition_mut().renormalize_core_priorities(core);
-    }
-
-    /// Registers a cross-shard *piece* in this shard's admission
-    /// bookkeeping (the piece-shaped analysis task, so the shard's
-    /// utilization accounting reflects only its local share). Shards that
-    /// track remote parents separately override this to also pin the
-    /// parent against local repair relocation.
-    fn note_remote_admitted(&mut self, piece: Task) {
-        self.note_admitted(piece);
-    }
-}
 
 /// Aggregate counters of a [`ShardedAdmission`] service.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -262,11 +152,11 @@ impl FaultStats {
     }
 }
 
-/// A sharded admission service over N independent [`AdmissionShard`]s.
+/// A sharded admission service over N independent admission controllers.
 /// See the [module docs](self) for the routing and rebalancing policy.
 #[derive(Debug, Clone)]
-pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
-    shards: Vec<S>,
+pub struct ShardedAdmission {
+    shards: Vec<AdmissionController>,
     router: ShardRouter,
     /// Shards currently holding each task, primary (body/home) shard
     /// first. Whole admissions occupy exactly one shard; a cross-shard
@@ -298,11 +188,11 @@ pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
     audit_cursor: usize,
 }
 
-impl ShardedAdmission<AdmissionController> {
+impl ShardedAdmission {
     /// A service of `shard_count` controller shards splitting the
     /// `config.cores` processor cores near-evenly. Every shard inherits
     /// the configuration's cascade knobs (test, overheads, repair bound,
-    /// cache/journal toggles) against its own core slice.
+    /// cost model) against its own core slice.
     ///
     /// # Errors
     ///
@@ -326,27 +216,11 @@ impl ShardedAdmission<AdmissionController> {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut service = ShardedAdmission::from_shards(shards);
-        service.cross_shard = cross_shard;
-        Ok(service)
-    }
-}
-
-impl<S: AdmissionShard> ShardedAdmission<S> {
-    /// A service over pre-built shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn from_shards(shards: Vec<S>) -> Self {
-        assert!(!shards.is_empty(), "service needs at least one shard");
-        let router = ShardRouter::new(shards.len());
-        let health = vec![ShardHealth::Healthy; shards.len()];
-        ShardedAdmission {
+        Ok(ShardedAdmission {
             shards,
-            router,
+            router: ShardRouter::new(shard_count),
             resident: BTreeMap::new(),
-            cross_shard: false,
+            cross_shard,
             decisions: Vec::new(),
             // The service keeps no stage traces of its own (ring capacity
             // 0): per-decision cascade traces live in the shard that ran
@@ -354,12 +228,12 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             metrics: EngineMetrics::new(0),
             stats: ServiceStats::default(),
             next_event: 0,
-            health,
+            health: vec![ShardHealth::Healthy; shard_count],
             split_originals: BTreeMap::new(),
             fault_stats: FaultStats::default(),
             cost_spike_factor: 1,
             audit_cursor: 0,
-        }
+        })
     }
 
     /// Number of shards.
@@ -368,20 +242,13 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     }
 
     /// The shards, home-index order.
-    pub fn shards(&self) -> &[S] {
+    pub fn shards(&self) -> &[AdmissionController] {
         &self.shards
     }
 
     /// Whether the cross-shard split planner is enabled.
     pub fn cross_shard_enabled(&self) -> bool {
         self.cross_shard
-    }
-
-    /// Enables or disables the cross-shard split planner (builder-less
-    /// services built via [`from_shards`](Self::from_shards); shards must
-    /// allow partial chains on their partitions when enabling).
-    pub fn set_cross_shard_split(&mut self, enabled: bool) {
-        self.cross_shard = enabled && self.shards.len() > 1;
     }
 
     /// The *primary* shard a task currently lives on: the only shard for
@@ -402,12 +269,18 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 
     /// Total utilization admitted across all shards.
     pub fn admitted_utilization(&self) -> f64 {
-        self.shards.iter().map(S::admitted_utilization).sum()
+        self.shards
+            .iter()
+            .map(AdmissionController::admitted_utilization)
+            .sum()
     }
 
     /// Per-shard spare utilization, shard-index order.
     pub fn spare_utilizations(&self) -> Vec<f64> {
-        self.shards.iter().map(S::spare_utilization).collect()
+        self.shards
+            .iter()
+            .map(AdmissionController::spare_utilization)
+            .collect()
     }
 
     /// The service-level decision log, one entry per handled event.
@@ -439,17 +312,24 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 
     /// The service registry with every shard's mechanism and timing
     /// sections folded in ([`Registry::merge_where`], shard-index order).
-    /// Outcome counters come exclusively from the service's final-decision
-    /// stream: a shard's outcome counters describe per-shard `decide`
-    /// attempts, and a home rejection retried on an overflow shard would
-    /// double-count. With one shard this registry's deterministic section
-    /// is byte-identical to the legacy controller's on the same events.
+    /// Outcome counters and the decision latency come exclusively from the
+    /// service's final-decision stream: a shard's `decide` attempts include
+    /// home rejections retried on an overflow shard, which would
+    /// double-count. The shards' own decision spans appear under
+    /// `spms_timing_shard_decision_latency_ns`. With one shard this
+    /// registry's deterministic section is byte-identical to the legacy
+    /// controller's on the same events.
     pub fn merged_metrics_registry(&self) -> Registry {
         let mut merged = self.metrics.registry().clone();
+        let shard_latency = merged.histogram(SHARD_DECISION_LATENCY, MetricClass::Timing);
         for shard in &self.shards {
-            if let Some(registry) = shard.metrics_registry() {
-                merged.merge_where(registry, |class| class != MetricClass::Outcome);
-            }
+            let metrics = shard.metrics();
+            merged.merge_where(metrics.registry(), |name, class| {
+                class != MetricClass::Outcome && name != DECISION_LATENCY
+            });
+            merged
+                .histogram_mut(shard_latency)
+                .merge(metrics.decision_latency());
         }
         merged
     }
@@ -518,7 +398,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         let event = WorkloadEvent::Arrive(task.clone());
         let mut first_rejection: Option<RejectionReason> = None;
         for shard_idx in order {
-            let shard_decision = self.shards[shard_idx].decide(&event);
+            let shard_decision = self.shards[shard_idx].handle_event(&event);
             match shard_decision.kind {
                 DecisionKind::Admitted {
                     path,
@@ -612,14 +492,23 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         // Every shard runs the same configuration, so shard 0's cost
         // model speaks for the fleet (as in `rebalance`). An active cost
         // spike multiplies the charge (factor 1 when no spike is live).
-        let charge =
-            self.shards[0].cost_model().migration_charge(task) * u64::from(self.cost_spike_factor);
+        let charge = self.shards[0].config().cost_model.migration_charge(task)
+            * u64::from(self.cost_spike_factor);
         // Phase 1 — pure planning on both participants.
-        let (body_core, body_piece, budget) = self.shards[donor].plan_remote_body(task, charge)?;
+        let (body_core, body_piece, budget) = {
+            let shard = &self.shards[donor];
+            shard
+                .placer()
+                .plan_remote_body(shard.partition(), task, charge)?
+        };
         let offset = body_piece.wcet();
         let remaining = task.wcet().saturating_sub(budget);
-        let (tail_core, tail_piece) =
-            self.shards[receiver].plan_remote_tail(task, remaining, offset, charge)?;
+        let (tail_core, tail_piece) = {
+            let shard = &self.shards[receiver];
+            shard
+                .placer()
+                .plan_remote_tail(shard.partition(), task, remaining, offset, charge)?
+        };
         // Phase 2 — place both pieces under one planning transaction.
         let body_placed = PlacedTask {
             task: body_piece.clone(),
@@ -695,7 +584,8 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 // service.
                 let mut kind = None;
                 for shard_idx in holders {
-                    let shard_decision = self.shards[shard_idx].decide(&WorkloadEvent::Depart(id));
+                    let shard_decision =
+                        self.shards[shard_idx].handle_event(&WorkloadEvent::Depart(id));
                     debug_assert_eq!(shard_decision.kind, DecisionKind::Departed);
                     kind.get_or_insert(shard_decision.kind);
                 }
@@ -732,15 +622,15 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         let admitted: BTreeMap<TaskId, Task> = self
             .resident
             .iter()
-            .filter_map(|(id, holders)| self.shards[holders[0]].lookup_admitted(*id))
-            .map(|task| (task.id(), task))
+            .filter_map(|(id, holders)| self.shards[holders[0]].admitted_task(*id))
+            .map(|task| (task.id(), task.clone()))
             .collect();
         let lookup = |id: TaskId| admitted.get(&id).cloned();
         let placer = self.shards[0].placer().clone();
         // Every shard runs the same configuration, so shard 0's cost model
         // speaks for the fleet: a stolen task must stay schedulable on the
         // receiver with one migration charge folded into its WCET.
-        let cost_model = self.shards[0].cost_model();
+        let cost_model = self.shards[0].config().cost_model.clone();
         let moves = {
             let charge_model = cost_model.clone();
             let charge_of = move |t: &Task| charge_model.migration_charge(t);
@@ -877,7 +767,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// ([`CacheAuditVerdict::Repaired`]). Returns `None` when no live
     /// core was auditable (no cache attached, or the memo was stale).
     pub fn audit_tick(&mut self) -> Option<CacheAuditVerdict> {
-        let total: usize = self.shards.iter().map(S::core_count).sum();
+        let total: usize = self.shards.iter().map(|s| s.config().cores).sum();
         if total == 0 {
             return None;
         }
@@ -885,8 +775,8 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             let mut flat = self.audit_cursor % total;
             self.audit_cursor = self.audit_cursor.wrapping_add(1);
             let mut shard = 0;
-            while flat >= self.shards[shard].core_count() {
-                flat -= self.shards[shard].core_count();
+            while flat >= self.shards[shard].config().cores {
+                flat -= self.shards[shard].config().cores;
                 shard += 1;
             }
             if self.health[shard] == ShardHealth::Down {
@@ -933,13 +823,13 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             let original = self
                 .split_originals
                 .remove(&id)
-                .or_else(|| self.shards[holders[0]].lookup_admitted(id));
+                .or_else(|| self.shards[holders[0]].admitted_task(id).cloned());
             // The crash wipes the dead shard's residency; surviving
             // holders of cross-shard pieces drop their now-orphaned
             // pieces. Departing the dead shard too leaves it exactly as a
             // rebuild from the (now-empty) residency map would.
             for &holder in &holders {
-                let decision = self.shards[holder].decide(&WorkloadEvent::Depart(id));
+                let decision = self.shards[holder].handle_event(&WorkloadEvent::Depart(id));
                 debug_assert_eq!(decision.kind, DecisionKind::Departed);
             }
             self.resident.remove(&id);
@@ -972,7 +862,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         order.retain(|&idx| self.health[idx].accepts_placements());
         let event = WorkloadEvent::Arrive(task.clone());
         for shard_idx in order {
-            if self.shards[shard_idx].decide(&event).is_admission() {
+            if self.shards[shard_idx].handle_event(&event).is_admission() {
                 self.resident.insert(task.id(), vec![shard_idx]);
                 return true;
             }
@@ -1032,7 +922,11 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 }
 
 /// Simultaneous mutable borrows of two distinct shards.
-fn two_shards_mut<S>(shards: &mut [S], a: usize, b: usize) -> (&mut S, &mut S) {
+fn two_shards_mut(
+    shards: &mut [AdmissionController],
+    a: usize,
+    b: usize,
+) -> (&mut AdmissionController, &mut AdmissionController) {
     debug_assert_ne!(a, b, "cross-shard planning needs two distinct shards");
     if a < b {
         let (left, right) = shards.split_at_mut(b);
@@ -1623,7 +1517,7 @@ mod tests {
             svc.handle_event(&WorkloadEvent::Arrive(task(id, 1, 10)));
         }
         // A clean sweep over every core first: all verdicts clean.
-        let cores: usize = svc.shards().iter().map(|s| s.core_count()).sum();
+        let cores: usize = svc.shards().iter().map(|s| s.config().cores).sum();
         for _ in 0..cores {
             assert_ne!(svc.audit_tick(), Some(CacheAuditVerdict::Repaired));
         }
@@ -1685,7 +1579,7 @@ mod tests {
             // Recovered: wherever it lives now, the admitted copy must
             // carry the original WCET (11 ms), not a piece budget.
             let kept = svc.shards()[holders[0]]
-                .lookup_admitted(TaskId(split_id))
+                .admitted_task(TaskId(split_id))
                 .expect("recovered task is admitted on its holder");
             assert_eq!(kept.wcet(), Time::from_millis(11));
         } else {

@@ -6,9 +6,7 @@
 //!   reproduces the exact bytes, and no `inflation` entry ever appears.
 //! * **Rejections restore inflated WCETs exactly** — under a charged model,
 //!   the repair pass speculatively commits *inflated* analysis WCETs; a
-//!   rejection must rewind the journal to a bit-identical partition, and
-//!   journal-based rollback must decide exactly like the clone-snapshot
-//!   rollback it replaces.
+//!   rejection must rewind the journal to a bit-identical partition.
 //!
 //! The vendored proptest runner is deterministically seeded, so these
 //! cases reproduce identically on every run.
@@ -85,44 +83,28 @@ proptest! {
     }
 
     /// Under a charged model, every rejection rewinds the speculative
-    /// inflated placements to a bit-identical partition, and the journal
-    /// rewind agrees decision-for-decision with clone-snapshot rollback.
+    /// inflated placements to a bit-identical partition.
     #[test]
     fn rejections_restore_inflated_wcets_exactly(
         (target, seed, events) in churn_config()
     ) {
         let events = trace(target, seed, events);
-        let charged = |journal: bool| {
-            OnlineConfig::builder()
-                .cores(4)
-                .cost_model(CostModelSpec::Crpd(CrpdCostModel::mixed()))
-                .journal(journal)
-                .build()
-        };
-        let mut journaled = AdmissionController::new(charged(true)).unwrap();
-        let mut cloned = AdmissionController::new(charged(false)).unwrap();
-        let mut rejections = 0usize;
+        let config = OnlineConfig::builder()
+            .cores(4)
+            .cost_model(CostModelSpec::Crpd(CrpdCostModel::mixed()))
+            .build();
+        let mut controller = AdmissionController::new(config).unwrap();
         for event in &events {
-            let before = journaled.partition().clone();
-            let a = journaled.handle_event(event);
-            let b = cloned.handle_event(event);
-            prop_assert_eq!(a, b, "journal and clone rollback diverged");
-            if matches!(a.kind, DecisionKind::Rejected { .. }) {
-                rejections += 1;
+            let before = controller.partition().clone();
+            let decision = controller.handle_event(event);
+            if matches!(decision.kind, DecisionKind::Rejected { .. }) {
                 prop_assert_eq!(
-                    journaled.partition(),
+                    controller.partition(),
                     &before,
                     "a rejected arrival left inflated WCETs behind"
                 );
             }
         }
-        prop_assert_eq!(journaled.partition(), cloned.partition());
-        prop_assert_eq!(journaled.stats(), cloned.stats());
-        // High-load traces must actually exercise the rollback machinery
-        // for the property to mean anything; the generator's loads make
-        // zero rejections implausible but not impossible, so only assert
-        // the partitions stayed sound.
-        let _ = rejections;
-        prop_assert_eq!(journaled.partition().validate(), Ok(()));
+        prop_assert_eq!(controller.partition().validate(), Ok(()));
     }
 }
