@@ -502,54 +502,63 @@ impl CachedCoreAnalysis {
         None
     }
 
-    /// What-if probe for one repair eviction: would the core accept
-    /// `candidate` with the entry `removed` evicted first? Nothing is
-    /// cloned; the verdict is bit-identical to re-running
-    /// [`rta::analyse_core`] over the committed (evicted + admitted) core.
+    /// What-if probe for a repair eviction: would the core accept
+    /// `candidate` with every entry named in `removed` evicted first? Ids
+    /// not on this core are ignored. Nothing is cloned or allocated; the
+    /// verdict is bit-identical to re-running [`rta::analyse_core`] over
+    /// the committed (evicted + admitted) core.
     ///
     /// The `outranked` / `peer` predicates describe the candidate's rank
     /// exactly as in [`accepts_candidate`](Self::accepts_candidate) (they
     /// are only consulted for surviving entries). Entries above both the
-    /// candidate and the removed entry keep their memoized responses;
+    /// candidate and every removed entry keep their memoized responses;
     /// entries that only gain the candidate's interference re-converge from
-    /// warm starts; entries that lose the removed entry's interference
-    /// re-converge cold (their cached responses are upper bounds there).
-    /// Falls back to [`accepts_candidate`](Self::accepts_candidate) when
-    /// `removed` is not on this core.
+    /// warm starts; entries at or below the highest removed level lose
+    /// interference and re-converge cold (their cached responses are upper
+    /// bounds there). Falls back to
+    /// [`accepts_candidate`](Self::accepts_candidate) when no removed id is
+    /// on this core.
     pub fn accepts_candidate_without(
         &self,
         candidate: &Task,
-        removed: TaskId,
+        removed: &[TaskId],
         outranked: impl Fn(&Task) -> bool,
         peer: impl Fn(&Task) -> bool,
     ) -> bool {
-        let Some(removed_idx) = self.entries.iter().position(|e| e.task.id() == removed) else {
+        let evicted = |e: &Entry| removed.contains(&e.task.id());
+        // Entries are sorted by level, so the first evicted one is the
+        // highest: everything at or below it loses interference.
+        let Some(removed_level) = self
+            .entries
+            .iter()
+            .find(|e| evicted(e))
+            .map(|e| sort_key(&e.task).0)
+        else {
             return self.accepts_candidate(candidate, outranked, peer);
         };
-        let removed_level = sort_key(&self.entries[removed_idx].task).0;
         // The candidate sees every *surviving* entry it does not outrank.
         let candidate_response = rta::converge(candidate.wcet(), candidate.deadline(), None, |r| {
             self.entries
                 .iter()
-                .enumerate()
-                .filter(|(j, e)| *j != removed_idx && !outranked(&e.task))
-                .map(|(_, e)| interference_term(&e.task, r))
+                .filter(|e| !evicted(e) && !outranked(&e.task))
+                .map(|e| interference_term(&e.task, r))
                 .sum()
         });
         if candidate_response.is_none() {
             return false;
         }
         for (i, entry) in self.entries.iter().enumerate() {
-            if i == removed_idx {
+            if evicted(entry) {
                 continue;
             }
             let gains = outranked(&entry.task) || peer(&entry.task);
-            // The removed entry interfered with everything at or below its
-            // level (peers included): those entries shrink and must run
-            // cold — a cached response is an upper bound after a removal.
+            // The removed entries interfered with everything at or below
+            // their levels (peers included): those entries shrink and must
+            // run cold — a cached response is an upper bound after a
+            // removal.
             let loses = sort_key(&entry.task).0 >= removed_level;
             let response = match (gains, loses) {
-                // Unaffected: above both the candidate and the removal.
+                // Unaffected: above both the candidate and the removals.
                 (false, false) => entry.response,
                 // Only gains the candidate: the cached response is a valid
                 // warm start.
@@ -557,10 +566,7 @@ impl CachedCoreAnalysis {
                     entry.task.wcet(),
                     entry.task.deadline(),
                     entry.response,
-                    |r| {
-                        self.interference_without(i, removed_idx, r)
-                            + interference_term(candidate, r)
-                    },
+                    |r| self.interference_without(i, removed, r) + interference_term(candidate, r),
                 ),
                 (gains, true) => {
                     rta::converge(entry.task.wcet(), entry.task.deadline(), None, |r| {
@@ -569,7 +575,7 @@ impl CachedCoreAnalysis {
                         } else {
                             Time::ZERO
                         };
-                        self.interference_without(i, removed_idx, r) + candidate_term
+                        self.interference_without(i, removed, r) + candidate_term
                     })
                 }
             };
@@ -710,15 +716,15 @@ impl CachedCoreAnalysis {
             .sum()
     }
 
-    /// [`own_interference`](Self::own_interference) with entry
-    /// `removed_idx` evicted from the core.
-    fn interference_without(&self, i: usize, removed_idx: usize, r: Time) -> Time {
+    /// [`own_interference`](Self::own_interference) with the entries named
+    /// in `removed` evicted from the core.
+    fn interference_without(&self, i: usize, removed: &[TaskId], r: Time) -> Time {
         let level = sort_key(&self.entries[i].task).0;
         self.entries
             .iter()
             .enumerate()
             .take_while(|(_, e)| sort_key(&e.task).0 <= level)
-            .filter(|(j, _)| *j != i && *j != removed_idx)
+            .filter(|(j, e)| *j != i && !removed.contains(&e.task.id()))
             .map(|(_, e)| interference_term(&e.task, r))
             .sum()
     }
@@ -1182,36 +1188,44 @@ mod tests {
 
     #[test]
     fn eviction_probe_matches_scratch() {
-        // Three tasks; probing "remove one, add candidate" must agree with
-        // a from-scratch analysis of the modified core for every victim.
+        // Three tasks; probing "remove one or two, add candidate" must
+        // agree with a from-scratch analysis of the modified core for every
+        // victim set.
         let tasks = [task(0, 1, 4, 2), task(1, 3, 10, 3), task(2, 4, 20, 4)];
         let cache = CachedCoreAnalysis::from_tasks(&tasks);
+        let victim_sets: Vec<Vec<TaskId>> = (0..tasks.len())
+            .flat_map(|a| (a..tasks.len()).map(move |b| (a, b)))
+            .map(|(a, b)| {
+                let mut set = vec![tasks[a].id(), tasks[b].id()];
+                set.dedup();
+                set
+            })
+            .collect();
         for candidate in [task(7, 5, 20, 5), task(8, 11, 20, 5), task(9, 2, 8, 1)] {
             let level = rta::effective_priority(&candidate).level();
-            for victim in &tasks {
+            for victims in &victim_sets {
                 let mut modified: Vec<Task> = tasks
                     .iter()
-                    .filter(|t| t.id() != victim.id())
+                    .filter(|t| !victims.contains(&t.id()))
                     .cloned()
                     .collect();
                 modified.push(candidate.clone());
                 assert_eq!(
                     cache.accepts_candidate_without(
                         &candidate,
-                        victim.id(),
+                        victims,
                         |t| rta::effective_priority(t).level() > level,
                         |t| rta::effective_priority(t).level() == level,
                     ),
                     rta::is_core_schedulable(&modified),
-                    "eviction probe diverged for candidate {} victim {}",
+                    "eviction probe diverged for candidate {} victims {victims:?}",
                     candidate.id(),
-                    victim.id()
                 );
             }
         }
-        // Unknown victim falls back to the plain probe.
+        // Unknown victims fall back to the plain probe.
         assert_eq!(
-            cache.accepts_candidate_without(&task(7, 5, 20, 5), TaskId(42), |_| true, |_| false),
+            cache.accepts_candidate_without(&task(7, 5, 20, 5), &[TaskId(42)], |_| true, |_| false),
             cache.accepts_candidate(&task(7, 5, 20, 5), |_| true, |_| false)
         );
     }

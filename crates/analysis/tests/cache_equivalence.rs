@@ -83,6 +83,39 @@ fn renormalized(tasks: &[Task]) -> Vec<Task> {
     ranked
 }
 
+/// A promoted split piece: explicit deadline and reserved `level`.
+fn piece(id: u32, wcet: Time, period: Time, deadline: Time, level: u32) -> Task {
+    Task::builder(id)
+        .wcet(wcet)
+        .period(period)
+        .deadline(deadline)
+        .priority(Priority::new(level))
+        .build()
+        .expect("constructible by construction")
+}
+
+/// The cached eviction probe with the candidate ranked by its own level.
+fn eviction_probe(cache: &CachedCoreAnalysis, candidate: &Task, removed: &[TaskId]) -> bool {
+    let level = rta::effective_priority(candidate).level();
+    cache.accepts_candidate_without(
+        candidate,
+        removed,
+        |t| rta::effective_priority(t).level() > level,
+        |t| rta::effective_priority(t).level() == level,
+    )
+}
+
+/// Scratch verdict for the core minus `removed` plus `candidate`.
+fn scratch_without(tasks: &[Task], candidate: &Task, removed: &[TaskId]) -> bool {
+    let mut reduced: Vec<Task> = tasks
+        .iter()
+        .filter(|t| !removed.contains(&t.id()))
+        .cloned()
+        .collect();
+    reduced.push(candidate.clone());
+    rta::is_core_schedulable(&reduced)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -163,25 +196,55 @@ proptest! {
             .collect();
         let cache = CachedCoreAnalysis::from_tasks(&tasks);
         let candidate = build_task(1000, candidate);
-        let level = rta::effective_priority(&candidate).level();
         for victim in &tasks {
-            let probed = cache.accepts_candidate_without(
-                &candidate,
-                victim.id(),
-                |t| rta::effective_priority(t).level() > level,
-                |t| rta::effective_priority(t).level() == level,
-            );
-            let mut modified: Vec<Task> = tasks
-                .iter()
-                .filter(|t| t.id() != victim.id())
-                .cloned()
-                .collect();
-            modified.push(candidate.clone());
             prop_assert_eq!(
-                probed,
-                rta::is_core_schedulable(&modified),
+                eviction_probe(&cache, &candidate, &[victim.id()]),
+                scratch_without(&tasks, &candidate, &[victim.id()]),
                 "eviction probe diverged for victim {}",
                 victim.id()
+            );
+        }
+    }
+
+    /// The multi-victim form (`accepts_candidate_without(&[a, b])`) on a
+    /// core that may also host split pieces — a `C = D` body at the top
+    /// level and a constrained-deadline tail just below it — answers what a
+    /// scratch analysis of the reduced core answers. Victim ids are drawn
+    /// past the end of the core too, so ids absent from the core (ignored
+    /// by the probe) and duplicate ids are covered.
+    #[test]
+    fn multi_eviction_probe_equals_scratch(
+        existing in vec(spec(), 1..8),
+        body in 1u64..30,
+        tail in (1u64..20, 0u64..60),
+        with_pieces in 0u8..4,
+        candidate in spec(),
+        victims in vec((0usize..12, 0usize..12), 1..6),
+    ) {
+        let mut tasks: Vec<Task> = existing
+            .iter()
+            .enumerate()
+            .map(|(i, s)| build_task(i as u32 + 2, *s))
+            .collect();
+        if with_pieces & 1 != 0 {
+            let period = Time::from_micros(body * 4 + 10);
+            tasks.push(piece(0, Time::from_micros(body), period, Time::from_micros(body), 0));
+        }
+        if with_pieces & 2 != 0 {
+            let (wcet, slack) = tail;
+            let deadline = Time::from_micros(wcet + slack);
+            let period = deadline + Time::from_micros(slack + 5);
+            tasks.push(piece(1, Time::from_micros(wcet), period, deadline, 1));
+        }
+        let cache = CachedCoreAnalysis::from_tasks(&tasks);
+        let candidate = build_task(1000, candidate);
+        for (a, b) in victims {
+            let removed = [TaskId(a as u32), TaskId(b as u32)];
+            prop_assert_eq!(
+                eviction_probe(&cache, &candidate, &removed),
+                scratch_without(&tasks, &candidate, &removed),
+                "eviction probe diverged for victims {:?}",
+                removed
             );
         }
     }

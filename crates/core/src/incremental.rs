@@ -33,6 +33,27 @@
 //! one level would charge each the other's full budget and void the
 //! guarantee that a body completes within its own budget.
 //!
+//! # Capacity gates
+//!
+//! Every acceptance test in the workspace rejects a core whose utilization
+//! exceeds 1 (Liu & Layland; for the exact RTA with `D ≤ T`, the lowest
+//! task `ℓ` sees every other task, so a fixed point `R ≤ D_ℓ ≤ T_ℓ` of
+//! `R = C_ℓ + Σ ⌈R/T_j⌉·C_j ≥ C_ℓ + R·(U − U_ℓ)` forces `U ≤ 1`). The
+//! placer uses that fact to answer two questions without running the test,
+//! with exactly the verdict the test would give:
+//!
+//! * a placement probe whose core utilization plus the candidate's exceeds
+//!   `1 + 1e-9` rejects at once (whole probes, tail probes, and every step
+//!   of the body-budget search);
+//! * a split plan is refused at entry when no tail-eligible core could
+//!   host the tail even if every other body-eligible core were carved to
+//!   its capacity (see [`IncrementalPlacer::plan_split_charged`]).
+//!
+//! Both count as [`HotCounter::CapacityRejects`] /
+//! [`HotCounter::SplitEntryRejects`]; gated probes still count as whole or
+//! split probes. Debug builds re-check every gated verdict against the
+//! ungated path.
+//!
 //! [`SemiPartitionedFpTs`]: crate::SemiPartitionedFpTs
 //! [`PartitionedFixedPriority`]: crate::PartitionedFixedPriority
 
@@ -42,6 +63,10 @@ use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
 use crate::{CoreId, Partition, PlacedTask, SplitInfo, SubtaskKind};
+
+/// Slack on the capacity bound, so floating-point rounding of utilization
+/// sums can never reject a core the acceptance test would admit.
+pub const CAPACITY_SLACK: f64 = 1e-9;
 
 /// How an incrementally admitted task ended up in the partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -221,7 +246,75 @@ impl IncrementalPlacer {
     /// overhead, since the job pays the cache-reload and context-switch
     /// cost on every hop, every period. A zero charge is bit-identical to
     /// the uncharged plan.
+    ///
+    /// Before carving anything, an exact capacity gate refuses plans that
+    /// cannot exist: the tail carries at least the task's WCET minus what
+    /// every other body-eligible core could absorb at full capacity
+    /// (`max(0, spare·T − smallest piece overhead)`), so when that tail
+    /// overloads every tail-eligible core, no split exists.
     pub fn plan_split_charged(
+        &self,
+        partition: &Partition,
+        task: &Task,
+        exclude: &[CoreId],
+        charge: Time,
+    ) -> Option<PlacementPlan> {
+        if self.tail_fits_nowhere(partition, task, exclude, charge) {
+            scoped::bump(HotCounter::SplitEntryRejects);
+            debug_assert!(
+                scoped::uncounted(|| self.carve_split(partition, task, exclude, charge)).is_none(),
+                "split-entry gate refused a feasible split of task {}",
+                task.id()
+            );
+            return None;
+        }
+        self.carve_split(partition, task, exclude, charge)
+    }
+
+    /// The split-entry gate of
+    /// [`plan_split_charged`](Self::plan_split_charged): whether, for every
+    /// core that may take a tail, the smallest tail any split could leave
+    /// there pushes the core past capacity. A body on core `d` is admitted
+    /// only if `U_d + (budget + overhead)/T ≤ 1`, so it covers at most
+    /// `max(0, (1 − U_d)·T − min overhead)` of the WCET; the tail covers the
+    /// rest and absorbs its own overhead and charge.
+    fn tail_fits_nowhere(
+        &self,
+        partition: &Partition,
+        task: &Task,
+        exclude: &[CoreId],
+        charge: Time,
+    ) -> bool {
+        let period = task.period().as_nanos() as f64;
+        let min_overhead = self
+            .body_piece_overhead(0)
+            .min(self.body_piece_overhead(1) + charge)
+            .as_nanos() as f64;
+        let utilizations = partition.core_utilizations();
+        let carvable = |c: usize| {
+            let core = CoreId(c);
+            if exclude.contains(&core) || partition.core_has_body(core) {
+                0.0
+            } else {
+                ((1.0 - utilizations[c]) * period - min_overhead).max(0.0)
+            }
+        };
+        let total: f64 = (0..utilizations.len()).map(carvable).sum();
+        let tail_demand =
+            (task.wcet() + self.overhead.tail_piece_inflation() + charge).as_nanos() as f64;
+        !(0..utilizations.len()).any(|c| {
+            let core = CoreId(c);
+            !exclude.contains(&core)
+                && !partition.core_has_tail(core)
+                && utilizations[c] + (tail_demand - (total - carvable(c))) / period
+                    <= 1.0 + CAPACITY_SLACK
+        })
+    }
+
+    /// The split planner proper, without the entry gate: carves bodies
+    /// and places the tail as described on
+    /// [`plan_split_charged`](Self::plan_split_charged).
+    fn carve_split(
         &self,
         partition: &Partition,
         task: &Task,
@@ -404,21 +497,36 @@ impl IncrementalPlacer {
         WholeProbe::Blocked { blocker }
     }
 
-    /// What-if probe for one repair eviction: would `core` accept `task`
-    /// whole with every placement of parent `removed` evicted from it
-    /// first? Allocation-free through the analysis cache; the from-scratch
-    /// fallback is bit-identical (same commit-time priority ranking).
+    /// What-if probe for a repair eviction: would `core` accept `task`
+    /// whole with every placement of the parents in `removed` evicted from
+    /// it first? Allocation-free through the analysis cache, and settled by
+    /// the capacity bound when the reduced core cannot fit the task; the
+    /// from-scratch fallback is bit-identical (same commit-time priority
+    /// ranking).
     pub fn accepts_whole_without(
         &self,
         partition: &Partition,
         core: CoreId,
         task: &Task,
-        removed: TaskId,
+        removed: &[TaskId],
     ) -> bool {
         let Some(analysis_task) = self.whole_analysis_task(task) else {
             return false;
         };
         scoped::bump(HotCounter::WholeProbes);
+        let kept = || {
+            partition
+                .core(core)
+                .iter()
+                .filter(|p| !removed.contains(&p.parent))
+        };
+        let utilization = kept().map(|p| p.task.utilization()).sum();
+        if self.capacity_rejects(utilization, &analysis_task, || {
+            let bin: Vec<PlacedTask> = kept().cloned().collect();
+            normalized_candidate_tasks(&bin, analysis_task.clone(), false)
+        }) {
+            return false;
+        }
         if self.test == UniprocessorTest::ResponseTime {
             if let Some(cache) = partition.cached_core(core) {
                 scoped::bump(HotCounter::CacheProbeHits);
@@ -431,12 +539,7 @@ impl IncrementalPlacer {
             }
         }
         scoped::bump(HotCounter::CacheProbeMisses);
-        let bin: Vec<PlacedTask> = partition
-            .core(core)
-            .iter()
-            .filter(|p| p.parent != removed)
-            .cloned()
-            .collect();
+        let bin: Vec<PlacedTask> = kept().cloned().collect();
         let tasks = normalized_candidate_tasks(&bin, analysis_task, false);
         self.test.accepts(&tasks)
     }
@@ -516,7 +619,9 @@ impl IncrementalPlacer {
     /// [`CachedCoreAnalysis::accepts_candidate`](spms_analysis::CachedCoreAnalysis::accepts_candidate):
     /// no task vectors are cloned, tasks ranked above the candidate keep
     /// their memoized response times, and tasks below re-converge from warm
-    /// starts — bit-identical to the from-scratch fallback below.
+    /// starts — bit-identical to the from-scratch fallback below. Either
+    /// way, a candidate that would push the core past capacity is rejected
+    /// before any analysis runs (see the [module docs](self#capacity-gates)).
     fn core_accepts(
         &self,
         partition: &Partition,
@@ -529,6 +634,11 @@ impl IncrementalPlacer {
         } else {
             HotCounter::WholeProbes
         });
+        if self.capacity_rejects(partition.core_utilization(core), candidate, || {
+            normalized_candidate_tasks(partition.core(core), candidate.clone(), candidate_is_split)
+        }) {
+            return false;
+        }
         if self.test == UniprocessorTest::ResponseTime {
             if let Some(cache) = partition.cached_core(core) {
                 scoped::bump(HotCounter::CacheProbeHits);
@@ -550,6 +660,30 @@ impl IncrementalPlacer {
         let tasks =
             normalized_candidate_tasks(partition.core(core), candidate.clone(), candidate_is_split);
         self.test.accepts(&tasks)
+    }
+
+    /// The capacity short-circuit: whether `candidate` would push a core
+    /// already carrying `utilization` past 1, which every acceptance test
+    /// rejects (see the [module docs](self#capacity-gates)). Debug builds
+    /// confirm each such verdict against the test run on `scratch()`, the
+    /// core's analysis task list with the candidate included.
+    fn capacity_rejects(
+        &self,
+        utilization: f64,
+        candidate: &Task,
+        scratch: impl FnOnce() -> Vec<Task>,
+    ) -> bool {
+        if utilization + candidate.utilization() <= 1.0 + CAPACITY_SLACK {
+            return false;
+        }
+        scoped::bump(HotCounter::CapacityRejects);
+        debug_assert!(
+            !self.test.accepts(&scratch()),
+            "capacity bound rejected task {} on a core the {} test accepts",
+            candidate.id(),
+            self.test
+        );
+        true
     }
 
     /// The analysis overhead charged to a body piece at `piece_index` in its
@@ -597,15 +731,24 @@ impl IncrementalPlacer {
         // through them so each probe resumes from the last accepted
         // (smaller) budget's converged response times. Bit-identical to
         // cold probes; only the iteration count drops.
+        // Probes past the core's capacity are rejected by the capacity
+        // bound alone. Only accepted probes record warm state, so skipping
+        // the analysis of a rejected one leaves later warm starts intact.
         let mut warmth = ProbeWarmth::new();
         let warm_cache = (self.test == UniprocessorTest::ResponseTime)
             .then(|| partition.cached_core(core))
             .flatten();
+        let utilization = partition.core_utilization(core);
         crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, |budget| {
             match crate::split_budget::body_piece(template, budget, overhead) {
                 Some(piece) => match warm_cache {
                     Some(cache) => {
                         scoped::bump(HotCounter::SplitProbes);
+                        if self.capacity_rejects(utilization, &piece, || {
+                            normalized_candidate_tasks(partition.core(core), piece.clone(), true)
+                        }) {
+                            return false;
+                        }
                         scoped::bump(HotCounter::CacheProbeHits);
                         cache.accepts_prioritised_warm(&piece, &mut warmth)
                     }
@@ -923,6 +1066,94 @@ mod tests {
         assert_eq!(cores[0], CoreId(2), "body must land on the most-spare core");
         placer().commit(&mut partition, &arrival, plan);
         assert_eq!(partition.validate(), Ok(()));
+    }
+
+    #[test]
+    fn capacity_bound_rejects_without_running_the_analysis() {
+        // Core 0 carries 80%: a 30% task cannot fit there under any test.
+        // The whole probe still counts, but only core 1 reaches the cache.
+        let mut partition = Partition::new(2);
+        partition.enable_analysis_cache();
+        let t0 = task(0, 8, 10);
+        let plan = placer().plan_whole(&partition, &t0, &[]).unwrap();
+        placer().commit(&mut partition, &t0, plan);
+        let before = scoped::thread_snapshot();
+        let plan = placer()
+            .plan_whole(&partition, &task(1, 3, 10), &[])
+            .unwrap();
+        assert_eq!(plan.cores(), vec![CoreId(1)]);
+        let delta = before.since();
+        assert_eq!(delta.get(HotCounter::CapacityRejects), 1);
+        assert_eq!(delta.get(HotCounter::WholeProbes), 2);
+        assert_eq!(delta.get(HotCounter::CacheProbeHits), 1);
+        // The eviction probe applies the bound to the reduced core: with
+        // τ0 evicted the task fits, with nothing evicted it does not.
+        let before = scoped::thread_snapshot();
+        assert!(!placer().accepts_whole_without(&partition, CoreId(0), &task(1, 3, 10), &[]));
+        assert!(placer().accepts_whole_without(
+            &partition,
+            CoreId(0),
+            &task(1, 3, 10),
+            &[TaskId(0)]
+        ));
+        assert_eq!(before.since().get(HotCounter::CapacityRejects), 1);
+    }
+
+    #[test]
+    fn capacity_bound_settles_body_budget_probes() {
+        // Two cores at 70% and 60%: a 60% arrival splits, and every budget
+        // probe past a core's 30% / 40% spare is settled by the bound. The
+        // resulting plan is the schedulable one the analysis would carve.
+        let mut partition = Partition::new(2);
+        partition.enable_analysis_cache();
+        for (id, wcet, core) in [(0u32, 7u64, 0usize), (1, 6, 1)] {
+            let t = task(id, wcet, 10);
+            placer().commit(
+                &mut partition,
+                &t,
+                PlacementPlan::Whole {
+                    core: CoreId(core),
+                    analysis_task: t.clone(),
+                },
+            );
+        }
+        let arrival = task(2, 6, 10);
+        let before = scoped::thread_snapshot();
+        let plan = placer().plan_split(&partition, &arrival, &[]).unwrap();
+        assert!(before.since().get(HotCounter::CapacityRejects) > 0);
+        placer().commit(&mut partition, &arrival, plan);
+        assert_eq!(partition.validate(), Ok(()));
+        assert!(partition.is_schedulable(UniprocessorTest::ResponseTime));
+    }
+
+    #[test]
+    fn split_entry_gate_refuses_hopeless_splits_before_carving() {
+        // Both cores at 90%: whichever core takes the tail, the other can
+        // carve at most 1 ms of a 5 ms task, and a 4 ms tail overloads a
+        // 90% core. The plan is refused before any budget probe runs.
+        let mut partition = Partition::new(2);
+        for (id, core) in [(0u32, 0usize), (1, 1)] {
+            let t = task(id, 9, 10);
+            placer().commit(
+                &mut partition,
+                &t,
+                PlacementPlan::Whole {
+                    core: CoreId(core),
+                    analysis_task: t.clone(),
+                },
+            );
+        }
+        let before = scoped::thread_snapshot();
+        assert!(placer()
+            .plan_split(&partition, &task(2, 5, 10), &[])
+            .is_none());
+        let delta = before.since();
+        assert_eq!(delta.get(HotCounter::SplitEntryRejects), 1);
+        assert_eq!(delta.get(HotCounter::SplitProbes), 0);
+        // A task small enough for one core's spare passes the gate.
+        let before = scoped::thread_snapshot();
+        let _ = placer().plan_split(&partition, &task(3, 1, 10), &[]);
+        assert_eq!(before.since().get(HotCounter::SplitEntryRejects), 0);
     }
 
     #[test]

@@ -815,6 +815,19 @@ impl Partition {
             .collect()
     }
 
+    /// Utilization assigned to one core: the sum of the effective (possibly
+    /// inflated) utilizations placed there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core id is out of range.
+    pub fn core_utilization(&self, core: CoreId) -> f64 {
+        self.cores[core.0]
+            .iter()
+            .map(|p| p.task.utilization())
+            .sum()
+    }
+
     /// Utilization still unassigned on one core: `1.0` minus the sum of the
     /// effective utilizations placed there. Can be negative when an
     /// overhead-inflated assignment overcommits a core; callers treating this
@@ -824,10 +837,7 @@ impl Partition {
     ///
     /// Panics if the core id is out of range.
     pub fn residual_utilization(&self, core: CoreId) -> f64 {
-        1.0 - self.cores[core.0]
-            .iter()
-            .map(|p| p.task.utilization())
-            .sum::<f64>()
+        1.0 - self.core_utilization(core)
     }
 
     /// [`residual_utilization`](Self::residual_utilization) clamped at zero:

@@ -12,7 +12,12 @@
 //!    ([`IncrementalPlacer::plan_split`]);
 //! 3. **bounded repair** — relocate (and re-split if necessary) at most
 //!    [`max_repair_moves`](OnlineConfig::max_repair_moves) already-placed
-//!    tasks to open a hole for the arrival, rolling back if no hole opens;
+//!    tasks to open a hole for the arrival, rolling back if no hole opens.
+//!    An attempt on one target core goes on only while evicting some set
+//!    of at most the remaining moves' worth of movable tasks provably lets
+//!    the arrival fit (the *hole gate*, see `pick_victim`); with one move
+//!    left that is the single-eviction search itself, so the
+//!    free-the-most-capacity fallback never runs on the last move;
 //! 4. **full repartition** — the last resort: run the offline
 //!    [`SemiPartitionedFpTs`] over the admitted set plus the arrival and
 //!    adopt its partition wholesale.
@@ -949,7 +954,10 @@ impl AdmissionController {
             if moves == k {
                 return None;
             }
-            let victim = self.pick_victim(target, task, &immovable)?;
+            let Some(victim) = self.pick_victim(target, task, &immovable, k - moves) else {
+                scoped::bump(HotCounter::RepairAttemptsAbandoned);
+                return None;
+            };
             match self.relocate(victim, target) {
                 Some(added) => {
                     moves += 1;
@@ -960,17 +968,32 @@ impl AdmissionController {
         }
     }
 
-    /// Slack-guided victim choice: localize the blocker (the task whose
-    /// `deadline − response` slack goes negative with the arrival added),
-    /// prune candidates that provably cannot relieve it, then evict the
-    /// *smallest* task whose removal an exact what-if probe confirms to
-    /// unblock the arrival. Split parents are candidates too (chain-aware
-    /// relocation: evicting one piece relocates the whole chain). When no
-    /// single eviction opens the hole, falls back to freeing the most
-    /// capacity per move so multi-move repair still progresses. Parents
-    /// with remote pieces are never victims: relocating the local piece
-    /// would orphan siblings on other shards.
-    fn pick_victim(&self, target: CoreId, arrival: &Task, immovable: &[TaskId]) -> Option<TaskId> {
+    /// Slack-guided victim choice with `budget` moves left: localize the
+    /// blocker (the task whose `deadline − response` slack goes negative
+    /// with the arrival added), prune candidates that provably cannot
+    /// relieve it, then evict the *smallest* task whose removal an exact
+    /// what-if probe confirms to unblock the arrival. Split parents are
+    /// candidates too (chain-aware relocation: evicting one piece relocates
+    /// the whole chain). Parents with remote pieces are never victims:
+    /// relocating the local piece would orphan siblings on other shards.
+    ///
+    /// When no single eviction opens the hole, the **hole gate** decides
+    /// whether the attempt can still succeed. Relocations never place
+    /// anything on the target, so a successful attempt ends with the
+    /// target holding its current contents minus at most `budget` of the
+    /// current candidates, and removing tasks never raises a response
+    /// time. The attempt is therefore given up (`None`) unless evicting
+    /// some `min(budget, n)` of the `n` candidates lets the arrival fit —
+    /// with one move left that is pass 1 itself, so the fallback below
+    /// never runs on the last move. Otherwise it frees the most capacity
+    /// per move so multi-move repair still progresses.
+    fn pick_victim(
+        &self,
+        target: CoreId,
+        arrival: &Task,
+        immovable: &[TaskId],
+        budget: usize,
+    ) -> Option<TaskId> {
         let candidates: Vec<(f64, TaskId)> = {
             let mut c: Vec<(f64, TaskId)> = self
                 .partition
@@ -1003,10 +1026,18 @@ impl AdmissionController {
             }
             if self
                 .placer
-                .accepts_whole_without(&self.partition, target, arrival, id)
+                .accepts_whole_without(&self.partition, target, arrival, &[id])
             {
                 return Some(id);
             }
+        }
+        if budget == 1 || !self.hole_exists(target, arrival, &candidates, budget) {
+            debug_assert!(
+                scoped::uncounted(|| self.no_hole_by_brute_force(target, arrival, &candidates, budget)),
+                "hole gate gave up on task {} although evicting at most {budget} candidates admits it",
+                arrival.id()
+            );
+            return None;
         }
         // Pass 2: no single eviction opens the hole — free the most
         // capacity per move; equal-utilization ties go to the task with
@@ -1022,6 +1053,101 @@ impl AdmissionController {
                     .then_with(|| b.2.cmp(&a.2))
             })
             .map(|(_, _, id)| id)
+    }
+
+    /// The hole gate's search: whether evicting some `min(budget, n)` of
+    /// the `n` `candidates` (`(utilization, id)`, ascending) lets `arrival`
+    /// fit whole on `target`. By monotonicity under removal, subsets of
+    /// exactly that size decide "at most `budget`". Subsets are enumerated
+    /// largest utilization first; a branch whose largest completion still
+    /// leaves the core over capacity is cut without probing.
+    fn hole_exists(
+        &self,
+        target: CoreId,
+        arrival: &Task,
+        candidates: &[(f64, TaskId)],
+        budget: usize,
+    ) -> bool {
+        let Some(analysis_task) = self.placer.whole_analysis_task(arrival) else {
+            return false;
+        };
+        let descending: Vec<(f64, TaskId)> = candidates.iter().rev().copied().collect();
+        let size = budget.min(descending.len());
+        if size == 0 {
+            return false;
+        }
+        // Utilization the evicted set must free to pass the placer's
+        // capacity bound.
+        let excess = self.partition.core_utilization(target) + analysis_task.utilization()
+            - 1.0
+            - spms_core::CAPACITY_SLACK;
+        // Depth-first over index combinations: `picks` holds the chosen
+        // positions in `descending`, `next` the next position to try.
+        let mut picks: Vec<usize> = Vec::with_capacity(size);
+        let mut ids: Vec<TaskId> = Vec::with_capacity(size);
+        let mut next = 0;
+        loop {
+            let need = size - picks.len();
+            if need == 0 {
+                if self
+                    .placer
+                    .accepts_whole_without(&self.partition, target, arrival, &ids)
+                {
+                    return true;
+                }
+            } else if next + need <= descending.len() {
+                // The most this branch can free is the next `need` largest;
+                // later branches free less, so a short one ends the level.
+                let freed: f64 = picks.iter().map(|&i| descending[i].0).sum::<f64>()
+                    + descending[next..next + need]
+                        .iter()
+                        .map(|(u, _)| u)
+                        .sum::<f64>();
+                if freed >= excess {
+                    picks.push(next);
+                    ids.push(descending[next].1);
+                    next += 1;
+                    continue;
+                }
+            }
+            let Some(last) = picks.pop() else {
+                return false;
+            };
+            ids.pop();
+            next = last + 1;
+        }
+    }
+
+    /// Debug-build oracle of the hole gate: no set of at most `budget`
+    /// `candidates` admits `arrival` on `target` once evicted, checked by
+    /// probing every such set without blocker pruning or the capacity
+    /// prefilter.
+    fn no_hole_by_brute_force(
+        &self,
+        target: CoreId,
+        arrival: &Task,
+        candidates: &[(f64, TaskId)],
+        budget: usize,
+    ) -> bool {
+        let ids: Vec<TaskId> = candidates.iter().map(|&(_, id)| id).collect();
+        let mut subsets: Vec<Vec<TaskId>> = vec![Vec::new()];
+        for &id in &ids {
+            let extended: Vec<Vec<TaskId>> = subsets
+                .iter()
+                .filter(|s| s.len() < budget)
+                .map(|s| {
+                    let mut s = s.clone();
+                    s.push(id);
+                    s
+                })
+                .collect();
+            subsets.extend(extended);
+        }
+        subsets.iter().filter(|s| !s.is_empty()).all(|s| {
+            !self
+                .placer
+                .accepts_whole_without(&self.partition, target, arrival, s)
+        })
     }
 
     /// The slack (`deadline − response`) of `parent`'s placement on
@@ -1769,6 +1895,87 @@ mod tests {
             c.decision_latency_histogram().count() as usize,
             c.decisions().len()
         );
+    }
+
+    /// Two cores at 85% of 0.05-utilization tasks (10 ms periods, so RTA
+    /// admits exactly up to 100%), splitting and the fallback disabled,
+    /// repair bound 2. Core 1 is built first-fit; core 0 is filled past it
+    /// with a 15% filler that then departs.
+    fn two_cores_of_small_tasks() -> AdmissionController {
+        let mut c = AdmissionController::new(
+            two_cores_no_split()
+                .max_repair_moves(2)
+                .fallback(false)
+                .build(),
+        )
+        .unwrap();
+        let small = |id: u32| Task::new(id, Time::from_micros(500), Time::from_millis(10)).unwrap();
+        arrive(
+            &mut c,
+            Task::new(100, Time::from_micros(1500), Time::from_millis(10)).unwrap(),
+        );
+        for id in 0..34 {
+            arrive(&mut c, small(id));
+        }
+        c.handle(WorkloadEvent::Depart(TaskId(100)));
+        for core in 0..2 {
+            assert!((c.partition().core_utilization(CoreId(core)) - 0.85).abs() < 1e-9);
+        }
+        c
+    }
+
+    #[test]
+    fn hole_gate_abandons_targets_no_bounded_eviction_can_open() {
+        // A 30% arrival needs 15% freed on either core, but two evictions
+        // free at most 10%: the hole gate gives up on both targets before
+        // a single relocation, and the arrival is rejected as before.
+        let mut c = two_cores_of_small_tasks();
+        let before = scoped::thread_snapshot();
+        let kind = arrive(&mut c, task(50, 3, 10));
+        assert_eq!(
+            kind,
+            DecisionKind::Rejected {
+                reason: RejectionReason::NoFeasiblePlacement
+            }
+        );
+        let delta = before.since();
+        assert_eq!(delta.get(HotCounter::RepairAttemptsAbandoned), 2);
+        // Both attempts ended at their first victim choice, before any
+        // relocation probed the other core: 2 fast-path probes, 2 target
+        // ranking probes, and per target one placement probe, one blocker
+        // probe and 17 single-eviction probes (the pair search is cut by
+        // the capacity prefilter without probing).
+        assert_eq!(delta.get(HotCounter::WholeProbes), 2 + 2 + 2 * (1 + 1 + 17));
+        let r = c.metrics().registry();
+        assert_eq!(
+            r.counter_by_name("spms_mech_repair_attempts_abandoned_total"),
+            Some(2)
+        );
+        assert_eq!(
+            r.counter_by_name("spms_mech_stage_repair_attempts_total"),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn hole_gate_lets_multi_move_repairs_through() {
+        // After one 5% task departs from core 1, a 30% arrival fits there
+        // once two 5% tasks move to core 0: no single eviction suffices,
+        // but a pair does, so the gate lets the two-move repair run.
+        let mut c = two_cores_of_small_tasks();
+        c.handle(WorkloadEvent::Depart(TaskId(33)));
+        let before = scoped::thread_snapshot();
+        let kind = arrive(&mut c, task(50, 3, 10));
+        assert_eq!(
+            kind,
+            DecisionKind::Admitted {
+                path: DecisionPath::Repair,
+                migrations: 2,
+                inflation: Time::ZERO
+            }
+        );
+        assert_eq!(before.since().get(HotCounter::RepairAttemptsAbandoned), 0);
+        assert!(c.partition().is_schedulable(c.config().test));
     }
 
     #[test]

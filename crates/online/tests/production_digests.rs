@@ -6,7 +6,11 @@
 //!
 //! * **1 shard, Poisson churn** — the plain cascade behind the service;
 //! * **4 shards, bursty churn** — with the cross-shard split planner, a
-//!   1 s lease kept alive by renewals, and rebalance ticks.
+//!   1 s lease kept alive by renewals, and rebalance ticks;
+//! * **1 shard, saturated Poisson churn** — normalized utilization 0.85
+//!   over 30k events, once at the default repair bound (`k = 2`) and once
+//!   at `k = 3`. These are the runs where bounded repair fails often and
+//!   every cascade stage, rejection included, is reached many times.
 //!
 //! Each run's decision log is folded into an order-sensitive FNV-1a digest
 //! (one JSON line per decision) and compared against a pinned constant.
@@ -39,17 +43,36 @@ fn decision_digest(engine: &ShardedAdmission) -> u64 {
     digest
 }
 
+/// Trace shape of one pinned run.
+struct Load {
+    utilization: f64,
+    events: usize,
+}
+
+/// The 1,500-event load of the first two pins.
+const SHORT: Load = Load {
+    utilization: 0.9,
+    events: 1500,
+};
+
+/// The saturated load: long enough for repair to fail thousands of times.
+const SATURATED: Load = Load {
+    utilization: 0.85,
+    events: 30_000,
+};
+
 fn run(
     config: OnlineConfig,
     shards: usize,
     family: ChurnFamily,
     lease: Option<Time>,
     seed: u64,
+    load: Load,
 ) -> ShardedAdmission {
     let mut trace = ChurnGenerator::new()
         .cores(CORES)
-        .target_normalized_utilization(0.9)
-        .events(1500)
+        .target_normalized_utilization(load.utilization)
+        .events(load.events)
         .family(family)
         .seed(seed)
         .generate_timed()
@@ -77,6 +100,7 @@ fn one_shard() -> ShardedAdmission {
         ChurnFamily::Poisson,
         None,
         2011,
+        SHORT,
     )
 }
 
@@ -91,7 +115,39 @@ fn four_shards() -> ShardedAdmission {
         ChurnFamily::Bursty,
         Some(Time::from_secs(1)),
         2012,
+        SHORT,
     )
+}
+
+/// The saturated 1-shard Poisson run at repair bound `k`.
+fn saturated(k: usize) -> ShardedAdmission {
+    run(
+        OnlineConfig::builder()
+            .cores(CORES)
+            .max_repair_moves(k)
+            .build(),
+        1,
+        ChurnFamily::Poisson,
+        None,
+        2013,
+        SATURATED,
+    )
+}
+
+/// Pins a saturated run's digest after checking it reaches repair, the
+/// full-repartition fallback and rejection.
+fn assert_saturated_digest(k: usize, pinned: u64) {
+    let engine = saturated(k);
+    let stats = engine.stats().decisions;
+    assert!(
+        stats.repairs > 0 && stats.full_repartitions > 0 && stats.rejected > 0,
+        "the k = {k} trace must reach repair, repartition and rejection: {stats:?}"
+    );
+    assert_eq!(
+        decision_digest(&engine),
+        pinned,
+        "saturated k = {k} decision log changed"
+    );
 }
 
 #[test]
@@ -126,6 +182,16 @@ fn four_shard_bursty_leased_digest_is_pinned() {
         9926976669222780618,
         "4-shard decision log changed"
     );
+}
+
+#[test]
+fn saturated_default_bound_digest_is_pinned() {
+    assert_saturated_digest(2, 12190413818739715447);
+}
+
+#[test]
+fn saturated_deeper_bound_digest_is_pinned() {
+    assert_saturated_digest(3, 13518847035111871556);
 }
 
 #[test]

@@ -41,10 +41,19 @@ pub enum HotCounter {
     JournalBegins,
     /// Journal rewinds (rollbacks to a mark).
     JournalRewinds,
+    /// Placement probes settled by the capacity bound (core utilization
+    /// plus the candidate's above 1) without running the acceptance test.
+    CapacityRejects,
+    /// Split plans refused at entry because no tail-eligible core could
+    /// host the tail even with every other core carved to capacity.
+    SplitEntryRejects,
+    /// Repair attempts on one target core given up because no set of the
+    /// remaining movable candidates opens a hole for the arrival.
+    RepairAttemptsAbandoned,
 }
 
 /// How many [`HotCounter`]s exist.
-pub const HOT_COUNTER_COUNT: usize = 8;
+pub const HOT_COUNTER_COUNT: usize = 11;
 
 /// Every hot counter, in index order.
 pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
@@ -56,6 +65,9 @@ pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
     HotCounter::CacheProbeMisses,
     HotCounter::JournalBegins,
     HotCounter::JournalRewinds,
+    HotCounter::CapacityRejects,
+    HotCounter::SplitEntryRejects,
+    HotCounter::RepairAttemptsAbandoned,
 ];
 
 impl HotCounter {
@@ -69,6 +81,9 @@ impl HotCounter {
             HotCounter::CacheProbeMisses => 5,
             HotCounter::JournalBegins => 6,
             HotCounter::JournalRewinds => 7,
+            HotCounter::CapacityRejects => 8,
+            HotCounter::SplitEntryRejects => 9,
+            HotCounter::RepairAttemptsAbandoned => 10,
         }
     }
 
@@ -83,20 +98,14 @@ impl HotCounter {
             HotCounter::CacheProbeMisses => "spms_mech_cache_probe_misses_total",
             HotCounter::JournalBegins => "spms_mech_journal_begins_total",
             HotCounter::JournalRewinds => "spms_mech_journal_rewinds_total",
+            HotCounter::CapacityRejects => "spms_mech_capacity_rejects_total",
+            HotCounter::SplitEntryRejects => "spms_mech_split_entry_rejects_total",
+            HotCounter::RepairAttemptsAbandoned => "spms_mech_repair_attempts_abandoned_total",
         }
     }
 }
 
-static GLOBALS: [AtomicU64; HOT_COUNTER_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static GLOBALS: [AtomicU64; HOT_COUNTER_COUNT] = [const { AtomicU64::new(0) }; HOT_COUNTER_COUNT];
 
 thread_local! {
     static THREAD: [Cell<u64>; HOT_COUNTER_COUNT] =
@@ -136,6 +145,24 @@ pub fn reset_thread(counter: HotCounter) {
 /// counting).
 pub fn reset_global(counter: HotCounter) {
     GLOBALS[counter.index()].store(0, Ordering::Relaxed);
+}
+
+/// Runs `f` and then takes back everything it counted, on this thread and
+/// process-wide. Debug-build oracles use it to re-run work the hot path
+/// proved unnecessary without skewing the work counters — or the degrade
+/// ladder that budgets on them — away from what a release build counts.
+pub fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    let before = thread_snapshot();
+    let result = f();
+    for (counter, delta) in before.since().iter() {
+        let i = counter.index();
+        THREAD.with(|cells| cells[i].set(cells[i].get().saturating_sub(delta)));
+        // Saturating, so an interleaved `reset_global` cannot wrap.
+        let _ = GLOBALS[i].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            Some(v.saturating_sub(delta))
+        });
+    }
+    result
 }
 
 /// A point-in-time copy of this thread's hot-counter values.
@@ -187,6 +214,24 @@ mod tests {
 
     // The counters are process- and thread-global, so every assertion
     // here is delta-based to stay independent of test ordering.
+    #[test]
+    fn uncounted_work_leaves_no_trace() {
+        let before = thread_snapshot();
+        let before_global = global_value(HotCounter::CapacityRejects);
+        let seven = uncounted(|| {
+            add(HotCounter::CapacityRejects, 4);
+            bump(HotCounter::SplitEntryRejects);
+            7
+        });
+        assert_eq!(seven, 7);
+        bump(HotCounter::RepairAttemptsAbandoned);
+        let delta = before.since();
+        assert_eq!(delta.get(HotCounter::CapacityRejects), 0);
+        assert_eq!(delta.get(HotCounter::SplitEntryRejects), 0);
+        assert_eq!(delta.get(HotCounter::RepairAttemptsAbandoned), 1);
+        assert!(global_value(HotCounter::CapacityRejects) >= before_global);
+    }
+
     #[test]
     fn bumps_land_on_both_twins_and_deltas_attribute_them() {
         let before_global = global_value(HotCounter::WholeProbes);
