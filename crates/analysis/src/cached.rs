@@ -18,7 +18,8 @@
 //! [`refresh`](CachedCoreAnalysis::refresh) re-establish every response time
 //! eagerly, so the read-side — [`is_schedulable`], [`analysis`] and the
 //! non-mutating what-if probes ([`accepts_candidate`],
-//! [`accepts_prioritised`]) — works on `&self` and allocates nothing.
+//! [`accepts_prioritised`]) and the exact body-budget frontier
+//! ([`promoted_wcet_frontier`]) — works on `&self` and allocates nothing.
 //! Results are bit-identical to a from-scratch [`rta::analyse_core`] over
 //! the same tasks (property-tested in `tests/cache_equivalence.rs`).
 //!
@@ -30,8 +31,10 @@
 //! [`analysis`]: CachedCoreAnalysis::analysis
 //! [`accepts_candidate`]: CachedCoreAnalysis::accepts_candidate
 //! [`accepts_prioritised`]: CachedCoreAnalysis::accepts_prioritised
+//! [`promoted_wcet_frontier`]: CachedCoreAnalysis::promoted_wcet_frontier
 
 use spms_task::{Priority, Task, TaskId, Time};
+use spms_telemetry::{scoped, HotCounter};
 
 use crate::rta::{self, CoreAnalysis};
 
@@ -599,82 +602,55 @@ impl CachedCoreAnalysis {
         )
     }
 
-    /// [`accepts_prioritised`](Self::accepts_prioritised) with a
-    /// **cross-probe warm start**: the split-budget binary search probes
-    /// this core repeatedly with the same template at growing WCETs, and
-    /// each accepted probe's converged response times are valid lower
-    /// bounds for every later probe with a larger WCET (interference only
-    /// grows with the candidate's `C`). `warmth` carries that state between
-    /// probes; the verdict is bit-identical to the cold probe — only the
-    /// number of fixed-point iterations changes.
+    /// The exact **promoted-WCET frontier**: the largest WCET `w ≤ period`
+    /// such that a `C = D = w` candidate at priority `level` with period
+    /// `period` is admitted by [`accepts_prioritised`](Self::accepts_prioritised).
+    /// Admission is monotone in `w`, so the probe accepts such a candidate
+    /// exactly when its WCET is at most the returned value — one call
+    /// replaces a binary search of probes.
     ///
-    /// `warmth` must only ever be reused against the *same* cache state and
-    /// candidate template (same id, period, priority); the
-    /// [`ProbeWarmth::reset`] guard drops state recorded for a different
-    /// entry count defensively.
-    pub fn accepts_prioritised_warm(&self, candidate: &Task, warmth: &mut ProbeWarmth) -> bool {
-        if !self.is_schedulable() {
-            return false;
+    /// The bound is the time-demand test (Lehoczky, Sha & Ding) solved for
+    /// the candidate's WCET. Entry `i` meets its deadline with the candidate
+    /// added iff some `t ≤ D_i` has `C_i + I_i(t) + ⌈t/T⌉·w ≤ t`, where
+    /// `I_i(t) = Σ_{j ∈ hep(i)} ⌈t/T_j⌉·C_j` sums the other entries at
+    /// higher-or-equal priority. So
+    ///
+    /// ```text
+    /// w* = min(T, min_i w_i),   w_i = max_{t ∈ S_i} ⌊(t − C_i − I_i(t)) / ⌈t/T⌉⌋
+    /// ```
+    ///
+    /// The demand is a step function, so the maximum sits at the right end
+    /// of a step: `S_i` is `D_i` plus every multiple of an interfering
+    /// period (the candidate's included) in `[R_i, D_i]`. Below the cached
+    /// response `R_i` the demand already exceeds `t` without the candidate.
+    ///
+    /// The frontier is zero when the core is unschedulable (extra
+    /// interference never repairs a miss) or when any entry sits at or
+    /// above `level`: a `C = D` piece has no room for any interference.
+    ///
+    /// No allocation and no sort: each entry tries `t = D_i` first and
+    /// stops as soon as it cannot lower the running minimum. The points
+    /// evaluated count as [`HotCounter::FrontierPoints`].
+    pub fn promoted_wcet_frontier(&self, level: Priority, period: Time) -> Time {
+        let level = level.level();
+        if !self.is_schedulable()
+            || self
+                .entries
+                .first()
+                .is_some_and(|e| sort_key(&e.task).0 <= level)
+        {
+            return Time::ZERO;
         }
-        let level = rta::effective_priority(candidate).level();
-        let outranked = |t: &Task| rta::effective_priority(t).level() > level;
-        let peer = |t: &Task| rta::effective_priority(t).level() == level;
-        // State from a probe of a larger candidate would be an upper bound,
-        // not a lower bound: only smaller-or-equal WCETs warm-start.
-        let usable = warmth.entry_responses.len() == self.entries.len()
-            && warmth.wcet.is_some_and(|w| w <= candidate.wcet());
-        if !usable {
-            warmth.reset();
-        }
-
-        let candidate_warm = if usable {
-            warmth.candidate_response
-        } else {
-            None
-        };
-        let candidate_response = rta::converge(
-            candidate.wcet(),
-            candidate.deadline(),
-            candidate_warm,
-            |r| {
-                self.entries
-                    .iter()
-                    .filter(|e| !outranked(&e.task))
-                    .map(|e| interference_term(&e.task, r))
-                    .sum()
-            },
-        );
-        let Some(candidate_response) = candidate_response else {
-            return false;
-        };
-
-        let mut responses = Vec::with_capacity(self.entries.len());
-        for (i, entry) in self.entries.iter().enumerate() {
-            if !outranked(&entry.task) && !peer(&entry.task) {
-                responses.push(entry.response);
-                continue;
+        let mut frontier = period;
+        let mut points = 0;
+        for i in 0..self.entries.len() {
+            if frontier.is_zero() {
+                break;
             }
-            // The cached baseline is always a valid lower bound; a previous
-            // smaller probe's converged response is a tighter one.
-            let warm = if usable {
-                warmth.entry_responses[i].or(entry.response)
-            } else {
-                entry.response
-            };
-            let survived = rta::converge(entry.task.wcet(), entry.task.deadline(), warm, |r| {
-                self.own_interference(i, r) + interference_term(candidate, r)
-            });
-            let Some(survived) = survived else {
-                return false;
-            };
-            responses.push(Some(survived));
+            frontier = self.entry_frontier(i, period, frontier, &mut points);
         }
-        // Fully converged: this probe becomes the warm start for the next
-        // (larger) one.
-        warmth.wcet = Some(candidate.wcet());
-        warmth.candidate_response = Some(candidate_response);
-        warmth.entry_responses = responses;
-        true
+        scoped::add(HotCounter::FrontierPoints, points);
+        frontier
     }
 
     // ------------------------------------------------------------------
@@ -699,6 +675,48 @@ impl CachedCoreAnalysis {
         rta::converge(task.wcet(), task.deadline(), warm_start, |r| {
             self.own_interference(i, r)
         })
+    }
+
+    /// `min(bound, w_i)` for entry `i` of
+    /// [`promoted_wcet_frontier`](Self::promoted_wcet_frontier): the largest
+    /// candidate WCET (candidate period `period`, ranked above the entry)
+    /// the entry still survives. Returns `bound` as soon as one scheduling
+    /// point reaches it; `points` counts the points evaluated.
+    fn entry_frontier(&self, i: usize, period: Time, bound: Time, points: &mut u64) -> Time {
+        let entry = &self.entries[i];
+        let deadline = entry.task.deadline();
+        let response = entry
+            .response
+            .expect("the frontier only runs on a schedulable core");
+        // The room entry i leaves the candidate at `t`: `None` when its own
+        // demand already exceeds `t`.
+        let mut room = |t: Time| {
+            *points += 1;
+            let demand = entry.task.wcet() + self.own_interference(i, t);
+            t.checked_sub(demand)
+                .map(|slack| slack / t.div_ceil(period))
+        };
+        let mut best = room(deadline);
+        if best >= Some(bound) {
+            return bound;
+        }
+        let level = sort_key(&entry.task).0;
+        let interferers = self
+            .entries
+            .iter()
+            .take_while(|e| sort_key(&e.task).0 <= level)
+            .enumerate()
+            .filter(|(j, _)| *j != i)
+            .map(|(_, e)| e.task.period());
+        for step in interferers.chain(std::iter::once(period)) {
+            for k in response.div_ceil(step)..=deadline.div_floor(step) {
+                best = best.max(room(step * k));
+                if best >= Some(bound) {
+                    return bound;
+                }
+            }
+        }
+        best.unwrap_or(Time::ZERO)
     }
 
     /// Interference entry `i` suffers from the other entries at
@@ -727,37 +745,6 @@ impl CachedCoreAnalysis {
             .filter(|(j, e)| *j != i && !removed.contains(&e.task.id()))
             .map(|(_, e)| interference_term(&e.task, r))
             .sum()
-    }
-}
-
-/// Cross-probe warm-start state for
-/// [`CachedCoreAnalysis::accepts_prioritised_warm`]: the converged response
-/// times of the last *accepted* probe, valid as lower-bound warm starts for
-/// every later probe of the same core with a larger candidate WCET. One
-/// instance lives for the duration of one split-budget binary search.
-#[derive(Debug, Clone, Default)]
-pub struct ProbeWarmth {
-    /// Candidate WCET of the last accepted probe (`None` = no state yet).
-    wcet: Option<Time>,
-    /// The candidate's converged response at that WCET.
-    candidate_response: Option<Time>,
-    /// Converged per-entry responses at that WCET, parallel to the cache's
-    /// entries (entries above the candidate keep their cached baselines).
-    entry_responses: Vec<Option<Time>>,
-}
-
-impl ProbeWarmth {
-    /// A fresh, empty warm-start state.
-    pub fn new() -> Self {
-        ProbeWarmth::default()
-    }
-
-    /// Drops all recorded state (the next probe runs from the cache's
-    /// baselines).
-    pub fn reset(&mut self) {
-        self.wcet = None;
-        self.candidate_response = None;
-        self.entry_responses.clear();
     }
 }
 
@@ -1230,33 +1217,118 @@ mod tests {
         );
     }
 
-    #[test]
-    fn warm_probe_matches_cold_probe_across_growing_budgets() {
-        // The split-budget search probes the same core with C = D pieces of
-        // growing budget; warm and cold probes must agree bit-for-bit.
-        let cache = CachedCoreAnalysis::from_tasks(&[task(0, 2, 10, 2), task(1, 3, 20, 3)]);
-        let mut warmth = ProbeWarmth::new();
-        for budget_us in [1u64, 5, 3, 8, 6, 14, 2, 20] {
-            let piece = Task::builder(9)
-                .wcet(Time::from_micros(budget_us))
-                .period(Time::from_micros(20))
-                .deadline(Time::from_micros(budget_us))
-                .priority(Priority::new(0))
-                .build()
-                .unwrap();
-            assert_eq!(
-                cache.accepts_prioritised_warm(&piece, &mut warmth),
-                cache.accepts_prioritised(&piece),
-                "warm probe diverged at budget {budget_us}"
+    /// A `C = D` piece at level 0 (the promoted body level in the split
+    /// planners), with WCET `wcet` and period `period`.
+    fn body(wcet: Time, period: Time) -> Task {
+        Task::builder(9)
+            .wcet(wcet)
+            .period(period)
+            .deadline(wcet)
+            .priority(Priority::new(0))
+            .build()
+            .unwrap()
+    }
+
+    /// Asserts `frontier` is the exact acceptance threshold of the
+    /// prioritised probe for body pieces of `period`.
+    fn assert_threshold(cache: &CachedCoreAnalysis, frontier: Time, period: Time) {
+        assert!(frontier <= period);
+        if !frontier.is_zero() {
+            assert!(
+                cache.accepts_prioritised(&body(frontier, period)),
+                "frontier {frontier} rejected at period {period}"
+            );
+        }
+        if frontier < period {
+            assert!(
+                !cache.accepts_prioritised(&body(frontier + Time::from_nanos(1), period)),
+                "frontier {frontier} is not the largest accepted WCET at period {period}"
             );
         }
     }
 
     #[test]
-    fn warm_probe_rejects_on_unschedulable_core() {
+    fn frontier_of_an_empty_core_is_the_period() {
+        let period = Time::from_micros(20);
+        assert_eq!(
+            CachedCoreAnalysis::new().promoted_wcet_frontier(Priority::new(0), period),
+            period
+        );
+    }
+
+    #[test]
+    fn frontier_respects_a_constrained_tail() {
+        // A promoted tail (level 1, C = 2, T = 20, D = 6) and a whole task
+        // (level 2, C = 3, T = D = 10) under a body of period 10. The tail
+        // leaves 6 − 2 = 4 µs at t = D = 6; the whole task leaves
+        // 10 − 3 − 2 = 5 µs at t = 10. The tail binds.
+        let tail = Task::builder(0)
+            .wcet(Time::from_micros(2))
+            .period(Time::from_micros(20))
+            .deadline(Time::from_micros(6))
+            .priority(Priority::new(1))
+            .build()
+            .unwrap();
+        let cache = CachedCoreAnalysis::from_tasks(&[tail, task(1, 3, 10, 2)]);
+        let period = Time::from_micros(10);
+        let frontier = cache.promoted_wcet_frontier(Priority::new(0), period);
+        assert_eq!(frontier, Time::from_micros(4));
+        assert_threshold(&cache, frontier, period);
+    }
+
+    #[test]
+    fn frontier_matches_the_probe_threshold_across_periods() {
+        // Short interfering periods put the best scheduling point below the
+        // deadline; the frontier must still be the probe's exact threshold.
+        let cache = CachedCoreAnalysis::from_tasks(&[
+            task(0, 1, 4, 2),
+            task(1, 2, 12, 3),
+            task(2, 3, 30, 4),
+        ]);
+        for period_us in [1u64, 3, 5, 8, 12, 17, 30, 60, 200] {
+            let period = Time::from_micros(period_us);
+            let frontier = cache.promoted_wcet_frontier(Priority::new(0), period);
+            assert_threshold(&cache, frontier, period);
+        }
+    }
+
+    #[test]
+    fn frontier_is_zero_beside_a_peer_or_higher_priority_entry() {
+        // A C = D piece has no room for interference: a peer at its level,
+        // or any entry above it, rejects every positive WCET.
+        let period = Time::from_micros(100);
+        let peer = CachedCoreAnalysis::from_tasks(&[task(0, 1, 100, 0)]);
+        assert_eq!(
+            peer.promoted_wcet_frontier(Priority::new(0), period),
+            Time::ZERO
+        );
+        assert!(!peer.accepts_prioritised(&body(Time::from_nanos(1), period)));
+        let above = CachedCoreAnalysis::from_tasks(&[task(0, 1, 100, 0), task(1, 1, 100, 5)]);
+        assert_eq!(
+            above.promoted_wcet_frontier(Priority::new(1), period),
+            Time::ZERO
+        );
+    }
+
+    #[test]
+    fn frontier_is_zero_on_unschedulable_core() {
         let cache = CachedCoreAnalysis::from_tasks(&[task(0, 6, 10, 2), task(1, 6, 10, 3)]);
-        let mut warmth = ProbeWarmth::new();
-        assert!(!cache.accepts_prioritised_warm(&task(2, 1, 1000, 9), &mut warmth));
+        assert!(!cache.is_schedulable());
+        assert_eq!(
+            cache.promoted_wcet_frontier(Priority::new(0), Time::from_micros(1000)),
+            Time::ZERO
+        );
+    }
+
+    #[test]
+    fn frontier_counts_its_scheduling_points() {
+        let cache = CachedCoreAnalysis::from_tasks(&[task(0, 1, 4, 2), task(1, 2, 12, 3)]);
+        let before = scoped::thread_snapshot();
+        let _ = cache.promoted_wcet_frontier(Priority::new(0), Time::from_micros(12));
+        assert!(before.since().get(HotCounter::FrontierPoints) > 0);
+        let before = scoped::thread_snapshot();
+        let _ = CachedCoreAnalysis::new().promoted_wcet_frontier(Priority::new(0), Time::MAX);
+        assert_eq!(before.since().get(HotCounter::FrontierPoints), 0);
     }
 
     #[test]

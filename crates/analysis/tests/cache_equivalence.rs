@@ -16,7 +16,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spms_analysis::{rta, CachedCoreAnalysis, ProbeWarmth};
+use spms_analysis::{rta, CachedCoreAnalysis};
 use spms_task::{Priority, Task, TaskId, Time};
 
 /// A compact task spec the strategies generate: `(wcet_us, extra_period_us,
@@ -249,38 +249,51 @@ proptest! {
         }
     }
 
-    /// Warm-started probes of a growing-then-shrinking budget sequence
-    /// agree with cold probes on every step (the warm start is a pure
-    /// iteration-count optimization).
+    /// The body-budget frontier is the exact acceptance threshold of the
+    /// prioritised probe: a `C = D` piece of WCET `w*` is admitted and one
+    /// of `w* + 1 ns` is not. `lift` moves every entry below the candidate's
+    /// level (the split planners' case); without it, peers and
+    /// higher-priority entries must drive the frontier to zero.
+    /// Constrained-deadline entries stand in for promoted tails.
     #[test]
-    fn warm_probe_equals_cold_probe(
+    fn frontier_is_the_exact_acceptance_threshold(
         existing in vec(spec(), 0..8),
-        budgets in vec(1u64..60, 1..12),
-        period_extra in 0u64..200,
+        constrained in vec((1u64..40, 0u64..120, 0u64..120), 0..3),
+        lift in 0u32..2,
+        level in 0u32..3,
+        period_us in 1u64..400,
     ) {
-        let tasks: Vec<Task> = existing
+        let mut tasks: Vec<Task> = existing
             .iter()
             .enumerate()
-            .map(|(i, s)| build_task(i as u32, *s))
+            .map(|(i, &(wcet, extra, l))| build_task(i as u32, (wcet, extra, l + lift)))
             .collect();
+        for (k, &(wcet, slack, extra)) in constrained.iter().enumerate() {
+            tasks.push(piece(
+                100 + k as u32,
+                Time::from_micros(wcet),
+                Time::from_micros(wcet + slack + extra + 1),
+                Time::from_micros(wcet + slack),
+                1 + lift + k as u32,
+            ));
+        }
         let cache = CachedCoreAnalysis::from_tasks(&tasks);
-        let period = budgets.iter().max().unwrap() + period_extra + 1;
-        let mut warmth = ProbeWarmth::new();
-        for &budget in &budgets {
-            // A C = D body piece at the promoted level, like the split
-            // search carves.
-            let piece = Task::builder(1000)
-                .wcet(Time::from_micros(budget))
-                .period(Time::from_micros(period))
-                .deadline(Time::from_micros(budget))
-                .priority(Priority::new(0))
-                .build()
-                .expect("constructible by construction");
-            prop_assert_eq!(
-                cache.accepts_prioritised_warm(&piece, &mut warmth),
-                cache.accepts_prioritised(&piece),
-                "warm probe diverged at budget {}",
-                budget
+        let period = Time::from_micros(period_us);
+        let frontier = cache.promoted_wcet_frontier(Priority::new(level), period);
+        prop_assert!(frontier <= period);
+        let body = |wcet: Time| piece(1000, wcet, period, wcet, level);
+        if !frontier.is_zero() {
+            prop_assert!(
+                cache.accepts_prioritised(&body(frontier)),
+                "frontier {} rejected",
+                frontier
+            );
+        }
+        if frontier < period {
+            prop_assert!(
+                !cache.accepts_prioritised(&body(frontier + Time::from_nanos(1))),
+                "frontier {} is not the largest accepted WCET",
+                frontier
             );
         }
     }

@@ -4,9 +4,9 @@
 //! move into a warm controller; `repair_reject_journal` drives an arrival
 //! whose repair fails on every target — the worst case for rollback, since
 //! every attempt rewinds the partition's mutation journal.
-//! `split_probe_warm` admits a task that must be split, with cross-probe
-//! warm starts in the budget binary search. The repair probes are asserted
-//! to perform zero partition clones.
+//! `split_probe` admits a task that must be split; each body budget comes
+//! from the core's exact frontier, replayed through the budget binary
+//! search. The repair probes are asserted to perform zero partition clones.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spms_core::Partition;
@@ -149,7 +149,7 @@ fn bench_repair_path(c: &mut Criterion) {
             "split probe did not split"
         );
     }
-    group.bench_function("split_probe_warm", |b| {
+    group.bench_function("split_probe", |b| {
         b.iter_batched(
             || warm.clone(),
             |mut controller| black_box(controller.handle(WorkloadEvent::Arrive(split_probe()))),

@@ -73,9 +73,9 @@ pub enum SplitPlacement {
 /// test is the exact RTA — one incremental [`CachedCoreAnalysis`] per bin,
 /// so every acceptance probe reuses the converged response times of the
 /// tasks ranked above the candidate instead of cloning and re-analysing the
-/// whole core (the splitting pass binary-searches body budgets, so probes
-/// dominate its cost). Probe verdicts are bit-identical to the from-scratch
-/// fallback, which keeps partitioning output unchanged.
+/// whole core, and body budgets come from the cache's exact frontier. Probe
+/// verdicts and budgets are bit-identical to the from-scratch fallback,
+/// which keeps partitioning output unchanged.
 struct Bins {
     bins: Vec<Vec<PlacedTask>>,
     caches: Option<Vec<CachedCoreAnalysis>>,
@@ -255,27 +255,42 @@ impl SemiPartitionedFpTs {
         }
     }
 
-    /// The largest body budget (pure execution, excluding any overhead) that
-    /// the acceptance test still admits on `core`, bounded by `max_budget`.
+    /// The largest body budget (pure execution, excluding the piece's
+    /// `overhead`) that the acceptance test still admits on `core`, bounded
+    /// by `max_budget`.
     /// Returns `Time::ZERO` when not even the smallest budget fits. The
     /// `C = D` piece construction and the binary search over the acceptance
     /// frontier are shared with the online incremental placer
-    /// (`split_budget` module).
+    /// (`split_budget` module). With per-bin caches the search runs against
+    /// the core's exact frontier
+    /// ([`CachedCoreAnalysis::promoted_wcet_frontier`]) instead of probing
+    /// each midpoint — the same midpoints, the same budget.
     fn max_body_budget(
         &self,
         bins: &Bins,
         core: usize,
         template: &Task,
         max_budget: Time,
-        piece_index: usize,
+        overhead: Time,
     ) -> Time {
-        let overhead = self.body_piece_overhead(piece_index);
-        crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, |budget| {
-            match crate::split_budget::body_piece(template, budget, overhead) {
-                Some(piece) => bins.accepts(self.test, core, &piece),
-                None => false,
+        let probe = |budget| {
+            crate::split_budget::body_piece(template, budget, overhead)
+                .is_some_and(|piece| bins.accepts(self.test, core, &piece))
+        };
+        match &bins.caches {
+            Some(caches) => crate::split_budget::max_budget_under_frontier(
+                self.min_split_budget,
+                max_budget,
+                template,
+                overhead,
+                caches[core].promoted_wcet_frontier(Self::BODY_PRIORITY, template.period()),
+                |_| {},
+                probe,
+            ),
+            None => {
+                crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, probe)
             }
-        })
+        }
     }
 
     /// Builds the analysis task for the final (tail or whole) placement of
@@ -388,20 +403,14 @@ impl SemiPartitionedFpTs {
                     .saturating_sub(Time::from_nanos(1))
                     .min(deadline_room);
                 let budget = if !already_hosts_piece && max_budget >= self.min_split_budget {
-                    self.max_body_budget(bins, current, task, max_budget, pieces.len())
+                    self.max_body_budget(bins, current, task, max_budget, piece_overhead)
                 } else {
                     Time::ZERO
                 };
                 if budget >= self.min_split_budget && !budget.is_zero() {
-                    let wcet = budget + piece_overhead;
-                    let piece = Task::builder(task.id())
-                        .wcet(wcet)
-                        .period(task.period())
-                        .deadline(wcet.min(task.period()))
-                        .priority(Self::BODY_PRIORITY)
-                        .build()
-                        .map_err(|e| format!("internal error building body subtask: {e}"))?;
-                    offset += wcet;
+                    let piece = crate::split_budget::body_piece(task, budget, piece_overhead)
+                        .ok_or("internal error building body subtask")?;
+                    offset += piece.wcet();
                     remaining -= budget;
                     pieces.push((current, piece, budget));
                 }

@@ -44,7 +44,8 @@
 //!
 //! * a placement probe whose core utilization plus the candidate's exceeds
 //!   `1 + 1e-9` rejects at once (whole probes, tail probes, and every step
-//!   of the body-budget search);
+//!   of an uncached body-budget search; the cached search decides by the
+//!   exact frontier and counts such steps the same way);
 //! * a split plan is refused at entry when no tail-eligible core could
 //!   host the tail even if every other body-eligible core were carved to
 //!   its capacity (see [`IncrementalPlacer::plan_split_charged`]).
@@ -58,7 +59,7 @@
 //! [`PartitionedFixedPriority`]: crate::PartitionedFixedPriority
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, OverheadModel, ProbeWarmth, UniprocessorTest};
+use spms_analysis::{rta, OverheadModel, UniprocessorTest};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
@@ -385,7 +386,7 @@ impl IncrementalPlacer {
             let mut carved = false;
             for core in candidates {
                 let budget =
-                    self.max_body_budget(partition, core, task, max_budget, pieces.len(), charge);
+                    self.max_body_budget(partition, core, task, max_budget, piece_overhead);
                 if budget >= self.min_split_budget && !budget.is_zero() {
                     let piece = crate::split_budget::body_piece(task, budget, piece_overhead)?;
                     offset += piece.wcet();
@@ -673,7 +674,7 @@ impl IncrementalPlacer {
         candidate: &Task,
         scratch: impl FnOnce() -> Vec<Task>,
     ) -> bool {
-        if utilization + candidate.utilization() <= 1.0 + CAPACITY_SLACK {
+        if !over_capacity(utilization, candidate) {
             return false;
         }
         scoped::bump(HotCounter::CapacityRejects);
@@ -697,28 +698,18 @@ impl IncrementalPlacer {
     }
 
     /// The largest body budget (pure execution) the acceptance test still
-    /// admits on `core`, bounded by `max_budget`; `Time::ZERO` when not even
-    /// the minimum budget fits. The piece construction and the binary search
-    /// over the acceptance frontier are shared with the offline FP-TS pass
-    /// (`split_budget` module); only the acceptance predicate differs.
+    /// admits on `core` for a piece charged `overhead` (split overhead plus
+    /// any per-migration charge), bounded by `max_budget`; `Time::ZERO` when
+    /// not even the minimum budget fits. The piece construction and the
+    /// binary search are shared with the offline FP-TS pass (`split_budget`
+    /// module); only the acceptance predicate differs.
+    ///
+    /// With a converged cache under the exact RTA, the search runs against
+    /// the core's exact frontier (`promoted_wcet_frontier`): same midpoints,
+    /// same budget. Each midpoint still counts as one split probe — settled
+    /// by the capacity bound or answered by the cache — so the work counters
+    /// match probing.
     fn max_body_budget(
-        &self,
-        partition: &Partition,
-        core: CoreId,
-        template: &Task,
-        max_budget: Time,
-        piece_index: usize,
-        charge: Time,
-    ) -> Time {
-        let overhead = self.body_piece_overhead(piece_index) + piece_charge(piece_index, charge);
-        self.max_body_budget_with_overhead(partition, core, template, max_budget, overhead)
-    }
-
-    /// [`max_body_budget`](Self::max_body_budget) with the piece's analysis
-    /// overhead already resolved — the form the cross-shard planner uses,
-    /// whose charging rule (every cross-shard piece absorbs one charge)
-    /// differs from the intra-shard chain rule.
-    fn max_body_budget_with_overhead(
         &self,
         partition: &Partition,
         core: CoreId,
@@ -726,37 +717,39 @@ impl IncrementalPlacer {
         max_budget: Time,
         overhead: Time,
     ) -> Time {
-        // Every probe of this search hits the same core with the same
-        // template at a different budget: thread one warm-start state
-        // through them so each probe resumes from the last accepted
-        // (smaller) budget's converged response times. Bit-identical to
-        // cold probes; only the iteration count drops.
-        // Probes past the core's capacity are rejected by the capacity
-        // bound alone. Only accepted probes record warm state, so skipping
-        // the analysis of a rejected one leaves later warm starts intact.
-        let mut warmth = ProbeWarmth::new();
-        let warm_cache = (self.test == UniprocessorTest::ResponseTime)
+        let probe = |budget| {
+            crate::split_budget::body_piece(template, budget, overhead)
+                .is_some_and(|piece| self.core_accepts(partition, core, &piece, true))
+        };
+        let cache = (self.test == UniprocessorTest::ResponseTime)
             .then(|| partition.cached_core(core))
             .flatten();
+        let Some(cache) = cache else {
+            return crate::split_budget::max_accepted_budget(
+                self.min_split_budget,
+                max_budget,
+                probe,
+            );
+        };
+        let frontier = cache.promoted_wcet_frontier(crate::BODY_PRIORITY, template.period());
         let utilization = partition.core_utilization(core);
-        crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, |budget| {
-            match crate::split_budget::body_piece(template, budget, overhead) {
-                Some(piece) => match warm_cache {
-                    Some(cache) => {
-                        scoped::bump(HotCounter::SplitProbes);
-                        if self.capacity_rejects(utilization, &piece, || {
-                            normalized_candidate_tasks(partition.core(core), piece.clone(), true)
-                        }) {
-                            return false;
-                        }
-                        scoped::bump(HotCounter::CacheProbeHits);
-                        cache.accepts_prioritised_warm(&piece, &mut warmth)
-                    }
-                    None => self.core_accepts(partition, core, &piece, true),
-                },
-                None => false,
-            }
-        })
+        let (mut probes, mut capacity_rejects) = (0, 0);
+        let budget = crate::split_budget::max_budget_under_frontier(
+            self.min_split_budget,
+            max_budget,
+            template,
+            overhead,
+            frontier,
+            |piece| {
+                probes += 1;
+                capacity_rejects += u64::from(over_capacity(utilization, piece));
+            },
+            probe,
+        );
+        scoped::add(HotCounter::SplitProbes, probes);
+        scoped::add(HotCounter::CapacityRejects, capacity_rejects);
+        scoped::add(HotCounter::CacheProbeHits, probes - capacity_rejects);
+        budget
     }
 
     /// Plans the **body half** of a shard-spanning split on this (donor)
@@ -795,8 +788,7 @@ impl IncrementalPlacer {
                 .then_with(|| a.0.cmp(&b.0))
         });
         for core in candidates {
-            let budget =
-                self.max_body_budget_with_overhead(partition, core, task, max_budget, overhead);
+            let budget = self.max_body_budget(partition, core, task, max_budget, overhead);
             if budget >= self.min_split_budget && !budget.is_zero() {
                 let piece = crate::split_budget::body_piece(task, budget, overhead)?;
                 return Some((core, piece, budget));
@@ -849,6 +841,12 @@ impl IncrementalPlacer {
             .build()
             .ok()
     }
+}
+
+/// Whether `candidate` would push a core already carrying `utilization`
+/// past the capacity bound (see the [module docs](self#capacity-gates)).
+fn over_capacity(utilization: f64, candidate: &Task) -> bool {
+    utilization + candidate.utilization() > 1.0 + CAPACITY_SLACK
 }
 
 /// The per-migration charge a split piece at `piece_index` absorbs: pieces
@@ -1124,6 +1122,121 @@ mod tests {
         placer().commit(&mut partition, &arrival, plan);
         assert_eq!(partition.validate(), Ok(()));
         assert!(partition.is_schedulable(UniprocessorTest::ResponseTime));
+    }
+
+    /// Four hand-built cores: a split body and a constrained-deadline tail
+    /// (cores 0 and 1, each beside a 60% whole task), mixed periods on
+    /// core 2, and an empty core 3.
+    fn hand_built_partition(cached: bool) -> Partition {
+        let mut partition = Partition::new(4);
+        if cached {
+            partition.enable_analysis_cache();
+        }
+        for (id, core) in [(0u32, 0usize), (1, 1)] {
+            let t = task(id, 6, 10);
+            placer().commit(
+                &mut partition,
+                &t,
+                PlacementPlan::Whole {
+                    core: CoreId(core),
+                    analysis_task: t.clone(),
+                },
+            );
+        }
+        let split = task(2, 6, 10);
+        let plan = placer()
+            .plan_split(&partition, &split, &[CoreId(2), CoreId(3)])
+            .unwrap();
+        placer().commit(&mut partition, &split, plan);
+        for (id, wcet, period) in [(3u32, 3u64, 10u64), (4, 2, 25), (5, 1, 4)] {
+            let t = task(id, wcet, period);
+            placer().commit(
+                &mut partition,
+                &t,
+                PlacementPlan::Whole {
+                    core: CoreId(2),
+                    analysis_task: t.clone(),
+                },
+            );
+        }
+        partition
+    }
+
+    /// The probing binary search the frontier replaces: every midpoint asks
+    /// the cached core's prioritised probe.
+    fn probing_budget(
+        placer: &IncrementalPlacer,
+        partition: &Partition,
+        core: CoreId,
+        template: &Task,
+        max_budget: Time,
+        overhead: Time,
+    ) -> Time {
+        let cache = partition.cached_core(core).unwrap();
+        crate::split_budget::max_accepted_budget(placer.min_split_budget, max_budget, |budget| {
+            crate::split_budget::body_piece(template, budget, overhead)
+                .is_some_and(|piece| cache.accepts_prioritised(&piece))
+        })
+    }
+
+    #[test]
+    fn frontier_budgets_equal_the_probing_search() {
+        let cached = hand_built_partition(true);
+        let uncached = hand_built_partition(false);
+        assert_eq!(cached.split_count(), 1);
+        let placer = placer();
+        let charge = Time::from_micros(300);
+        for template in [task(10, 4, 10), task(11, 9, 30), task(12, 2, 7)] {
+            for core in (0..4).map(CoreId) {
+                for piece_index in [0, 1] {
+                    let overhead =
+                        placer.body_piece_overhead(piece_index) + piece_charge(piece_index, charge);
+                    let max_budget = template
+                        .wcet()
+                        .saturating_sub(Time::from_nanos(1))
+                        .min(template.deadline().saturating_sub(overhead));
+                    let expected =
+                        probing_budget(&placer, &cached, core, &template, max_budget, overhead);
+                    let before = scoped::thread_snapshot();
+                    let budget =
+                        placer.max_body_budget(&cached, core, &template, max_budget, overhead);
+                    let frontier = before.since();
+                    assert_eq!(budget, expected, "task {} core {}", template.id(), core.0);
+                    // The uncached path probes every midpoint: same budget,
+                    // same probe and capacity counts, misses for hits.
+                    let before = scoped::thread_snapshot();
+                    let probed =
+                        placer.max_body_budget(&uncached, core, &template, max_budget, overhead);
+                    let probing = before.since();
+                    assert_eq!(probed, expected);
+                    for counter in [HotCounter::SplitProbes, HotCounter::CapacityRejects] {
+                        assert_eq!(frontier.get(counter), probing.get(counter), "{counter:?}");
+                    }
+                    assert_eq!(
+                        frontier.get(HotCounter::CacheProbeHits),
+                        probing.get(HotCounter::CacheProbeMisses)
+                    );
+                }
+            }
+            let Some((core, piece, budget)) = placer.plan_remote_body(&cached, &template, charge)
+            else {
+                continue;
+            };
+            let overhead = placer.overhead.first_piece_inflation() + charge;
+            let max_budget = template
+                .wcet()
+                .saturating_sub(Time::from_nanos(1))
+                .min(template.deadline().saturating_sub(overhead));
+            assert_eq!(
+                budget,
+                probing_budget(&placer, &cached, core, &template, max_budget, overhead)
+            );
+            assert_eq!(piece.wcet(), budget + overhead);
+            assert_eq!(
+                placer.plan_remote_body(&uncached, &template, charge),
+                Some((core, piece, budget))
+            );
+        }
     }
 
     #[test]

@@ -5,13 +5,24 @@
 //! at the promoted body priority, sized to the largest budget the per-core
 //! acceptance test still admits (found by binary search over the monotone
 //! acceptance frontier). This module is the single implementation both call
-//! — only the acceptance predicate differs (a plain task list offline, a
-//! priority-normalized partition core online).
+//! — only the acceptance predicate differs.
+//!
+//! With a per-core analysis cache under the exact RTA, both callers compute
+//! the frontier once in closed form
+//! ([`CachedCoreAnalysis::promoted_wcet_frontier`]) and run the search
+//! against the arithmetic predicate `budget + overhead ≤ w*`. The probe
+//! admits a piece exactly when its WCET is at most `w*`, so the search
+//! visits the same midpoints and lands on the same budget as probing each
+//! one. Without a cache, or under another test, each midpoint is probed
+//! (a plain task list offline, a priority-normalized partition core
+//! online); that path is also the debug-build oracle for the frontier.
 //!
 //! [`SemiPartitionedFpTs`]: crate::SemiPartitionedFpTs
 //! [`IncrementalPlacer`]: crate::IncrementalPlacer
+//! [`CachedCoreAnalysis::promoted_wcet_frontier`]: spms_analysis::CachedCoreAnalysis::promoted_wcet_frontier
 
 use spms_task::{Task, Time};
+use spms_telemetry::scoped;
 
 /// Builds the analysis task of a body piece: `budget` pure execution plus
 /// the charged `overhead`, a deadline equal to its own demand (the paper's
@@ -32,12 +43,9 @@ pub(crate) fn body_piece(template: &Task, budget: Time, overhead: Time) -> Optio
 /// that `accepts` still admits, or [`Time::ZERO`] when not even the minimum
 /// fits. `accepts` must be monotone (a smaller budget never fails where a
 /// larger one passes); the frontier is located by binary search to 100 ns.
-///
-/// The predicate is `FnMut` so callers can thread state *across* probes:
-/// the online placer carries a [`ProbeWarmth`](spms_analysis::ProbeWarmth)
-/// that warm-starts each probe's fixed points from the last accepted
-/// (smaller-budget) probe, cutting the re-convergence work of the search
-/// roughly in half without changing any verdict.
+/// Two predicates that agree on every budget visit the same midpoints and
+/// return the same budget. The predicate is `FnMut` so callers can count
+/// the midpoints it visits.
 pub(crate) fn max_accepted_budget(
     min_split_budget: Time,
     max_budget: Time,
@@ -61,6 +69,36 @@ pub(crate) fn max_accepted_budget(
         }
     }
     lo
+}
+
+/// [`max_accepted_budget`] over the `C = D` body pieces of `template`
+/// against an exact WCET `frontier`: a budget is accepted iff its piece
+/// exists and its WCET (`budget + overhead`) is at most `frontier`. When
+/// `frontier` is the acceptance threshold of `probe`, this visits the same
+/// midpoints and returns the same budget as probing each one, which debug
+/// builds check. `visit` sees every piece the search would have probed.
+pub(crate) fn max_budget_under_frontier(
+    min_split_budget: Time,
+    max_budget: Time,
+    template: &Task,
+    overhead: Time,
+    frontier: Time,
+    mut visit: impl FnMut(&Task),
+    probe: impl FnMut(Time) -> bool,
+) -> Time {
+    let budget = max_accepted_budget(min_split_budget, max_budget, |budget| {
+        body_piece(template, budget, overhead).is_some_and(|piece| {
+            visit(&piece);
+            piece.wcet() <= frontier
+        })
+    });
+    debug_assert_eq!(
+        budget,
+        scoped::uncounted(|| max_accepted_budget(min_split_budget, max_budget, probe)),
+        "frontier budget diverged from the probing search for task {}",
+        template.id()
+    );
+    budget
 }
 
 #[cfg(test)]

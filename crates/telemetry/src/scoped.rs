@@ -50,10 +50,13 @@ pub enum HotCounter {
     /// Repair attempts on one target core given up because no set of the
     /// remaining movable candidates opens a hole for the arrival.
     RepairAttemptsAbandoned,
+    /// Scheduling points evaluated by the exact body-budget frontier
+    /// (`CachedCoreAnalysis::promoted_wcet_frontier`).
+    FrontierPoints,
 }
 
 /// How many [`HotCounter`]s exist.
-pub const HOT_COUNTER_COUNT: usize = 11;
+pub const HOT_COUNTER_COUNT: usize = 12;
 
 /// Every hot counter, in index order.
 pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
@@ -68,6 +71,7 @@ pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
     HotCounter::CapacityRejects,
     HotCounter::SplitEntryRejects,
     HotCounter::RepairAttemptsAbandoned,
+    HotCounter::FrontierPoints,
 ];
 
 impl HotCounter {
@@ -84,6 +88,7 @@ impl HotCounter {
             HotCounter::CapacityRejects => 8,
             HotCounter::SplitEntryRejects => 9,
             HotCounter::RepairAttemptsAbandoned => 10,
+            HotCounter::FrontierPoints => 11,
         }
     }
 
@@ -101,6 +106,7 @@ impl HotCounter {
             HotCounter::CapacityRejects => "spms_mech_capacity_rejects_total",
             HotCounter::SplitEntryRejects => "spms_mech_split_entry_rejects_total",
             HotCounter::RepairAttemptsAbandoned => "spms_mech_repair_attempts_abandoned_total",
+            HotCounter::FrontierPoints => "spms_mech_frontier_points_total",
         }
     }
 }
