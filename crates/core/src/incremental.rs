@@ -48,7 +48,7 @@
 //!   exact frontier and counts such steps the same way);
 //! * a split plan is refused at entry when no tail-eligible core could
 //!   host the tail even if every other body-eligible core were carved to
-//!   its capacity (see [`IncrementalPlacer::plan_split_charged`]).
+//!   its capacity (see [`IncrementalPlacer::plan_split`]).
 //!
 //! Both count as [`HotCounter::CapacityRejects`] /
 //! [`HotCounter::SplitEntryRejects`]; gated probes still count as whole or
@@ -122,8 +122,8 @@ pub enum WholeProbe {
 }
 
 /// Places single tasks into an existing partition, whole-first-fit with an
-/// FP-TS-style splitting fallback. See the [module docs](self) for the
-/// placement and priority discipline.
+/// FP-TS-style splitting fallback. The placement and priority discipline
+/// is described in the `incremental.rs` module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalPlacer {
     /// Per-core acceptance test, applied to every candidate core with the
@@ -172,47 +172,32 @@ impl IncrementalPlacer {
     }
 
     /// The analysis task of a whole placement: WCET inflated by the
-    /// whole-job overhead. `None` when the task cannot absorb the overhead
-    /// within its deadline (such a task is unschedulable under this model on
-    /// any core).
-    pub fn whole_analysis_task(&self, task: &Task) -> Option<Task> {
-        self.whole_analysis_task_charged(task, Time::ZERO)
-    }
-
-    /// [`whole_analysis_task`](Self::whole_analysis_task) with an additional
-    /// per-migration `charge` folded into the WCET — the form used when the
-    /// task is being *relocated* (repair move, rebalance) rather than placed
-    /// fresh, so the placement must stay schedulable after absorbing the
-    /// cache-reload and context-switch cost of the move.
-    pub fn whole_analysis_task_charged(&self, task: &Task, charge: Time) -> Option<Task> {
+    /// whole-job overhead plus a per-migration `charge`. `None` when the
+    /// task cannot absorb both within its deadline (such a task is
+    /// unschedulable under this model on any core).
+    ///
+    /// A fresh placement passes [`Time::ZERO`]; a task being *relocated*
+    /// (repair move, rebalance) passes its migration charge, so the
+    /// placement must stay schedulable after absorbing the cache-reload and
+    /// context-switch cost of the move.
+    pub fn whole_analysis_task(&self, task: &Task, charge: Time) -> Option<Task> {
         task.with_wcet(task.wcet() + self.overhead.whole_job_inflation() + charge)
             .ok()
     }
 
     /// Plans a whole-task placement: the first core (in index order, skipping
     /// `exclude`) whose assignment still passes the acceptance test with the
-    /// task added. Does not modify the partition.
+    /// task added, its analysis WCET inflated by `charge` (see
+    /// [`whole_analysis_task`](Self::whole_analysis_task)). Does not modify
+    /// the partition.
     pub fn plan_whole(
-        &self,
-        partition: &Partition,
-        task: &Task,
-        exclude: &[CoreId],
-    ) -> Option<PlacementPlan> {
-        self.plan_whole_charged(partition, task, exclude, Time::ZERO)
-    }
-
-    /// [`plan_whole`](Self::plan_whole) with a per-migration `charge`
-    /// inflating the analysis WCET (see
-    /// [`whole_analysis_task_charged`](Self::whole_analysis_task_charged)).
-    /// A zero charge is bit-identical to the uncharged plan.
-    pub fn plan_whole_charged(
         &self,
         partition: &Partition,
         task: &Task,
         exclude: &[CoreId],
         charge: Time,
     ) -> Option<PlacementPlan> {
-        let analysis_task = self.whole_analysis_task_charged(task, charge)?;
+        let analysis_task = self.whole_analysis_task(task, charge)?;
         let core = (0..partition.core_count()).map(CoreId).find(|c| {
             !exclude.contains(c) && self.core_accepts(partition, *c, &analysis_task, false)
         })?;
@@ -228,32 +213,22 @@ impl IncrementalPlacer {
     /// still admits, found by binary search), and the tail lands on the
     /// first core that accepts what remains. Does not modify the partition.
     ///
+    /// Every piece after the first — each one reached by an intra-job
+    /// migration along the chain — must absorb the per-migration `charge`
+    /// on top of its split overhead, since the job pays the cache-reload
+    /// and context-switch cost on every hop, every period.
+    ///
     /// Returns `None` when no split placement exists under the constraints
     /// (one body and one tail per core at most, every piece on a distinct
     /// core, bodies no smaller than
     /// [`min_split_budget`](Self::min_split_budget)).
-    pub fn plan_split(
-        &self,
-        partition: &Partition,
-        task: &Task,
-        exclude: &[CoreId],
-    ) -> Option<PlacementPlan> {
-        self.plan_split_charged(partition, task, exclude, Time::ZERO)
-    }
-
-    /// [`plan_split`](Self::plan_split) with a per-migration `charge`: every
-    /// piece after the first — each one reached by an intra-job migration
-    /// along the chain — must absorb the charge on top of its split
-    /// overhead, since the job pays the cache-reload and context-switch
-    /// cost on every hop, every period. A zero charge is bit-identical to
-    /// the uncharged plan.
     ///
     /// Before carving anything, an exact capacity gate refuses plans that
     /// cannot exist: the tail carries at least the task's WCET minus what
     /// every other body-eligible core could absorb at full capacity
     /// (`max(0, spare·T − smallest piece overhead)`), so when that tail
     /// overloads every tail-eligible core, no split exists.
-    pub fn plan_split_charged(
+    pub fn plan_split(
         &self,
         partition: &Partition,
         task: &Task,
@@ -273,7 +248,7 @@ impl IncrementalPlacer {
     }
 
     /// The split-entry gate of
-    /// [`plan_split_charged`](Self::plan_split_charged): whether, for every
+    /// [`plan_split`](Self::plan_split): whether, for every
     /// core that may take a tail, the smallest tail any split could leave
     /// there pushes the core past capacity. A body on core `d` is admitted
     /// only if `U_d + (budget + overhead)/T ≤ 1`, so it covers at most
@@ -314,7 +289,7 @@ impl IncrementalPlacer {
 
     /// The split planner proper, without the entry gate: carves bodies
     /// and places the tail as described on
-    /// [`plan_split_charged`](Self::plan_split_charged).
+    /// [`plan_split`](Self::plan_split).
     fn carve_split(
         &self,
         partition: &Partition,
@@ -447,7 +422,7 @@ impl IncrementalPlacer {
     /// (priority, id) order, so cached and uncached controllers make
     /// identical repair decisions.
     pub fn probe_whole(&self, partition: &Partition, core: CoreId, task: &Task) -> WholeProbe {
-        let Some(analysis_task) = self.whole_analysis_task(task) else {
+        let Some(analysis_task) = self.whole_analysis_task(task, Time::ZERO) else {
             return WholeProbe::Blocked { blocker: None };
         };
         scoped::bump(HotCounter::WholeProbes);
@@ -511,7 +486,7 @@ impl IncrementalPlacer {
         task: &Task,
         removed: &[TaskId],
     ) -> bool {
-        let Some(analysis_task) = self.whole_analysis_task(task) else {
+        let Some(analysis_task) = self.whole_analysis_task(task, Time::ZERO) else {
             return false;
         };
         scoped::bump(HotCounter::WholeProbes);
@@ -545,32 +520,22 @@ impl IncrementalPlacer {
         self.test.accepts(&tasks)
     }
 
-    /// Plans whole-first, split-second: the admission fast path.
+    /// Plans whole-first, split-second with a per-migration `charge`
+    /// ([`Time::ZERO`] for a fresh arrival). When an already-placed task
+    /// is *relocated*, a whole placement on the new core absorbs one
+    /// charge (the relocation reload); a split placement charges every
+    /// piece after the first (the recurring intra-job hops — the one-time
+    /// entry reload is dominated by them and deliberately not
+    /// double-charged).
     pub fn plan(
-        &self,
-        partition: &Partition,
-        task: &Task,
-        exclude: &[CoreId],
-    ) -> Option<PlacementPlan> {
-        self.plan_charged(partition, task, exclude, Time::ZERO)
-    }
-
-    /// [`plan`](Self::plan) with a per-migration `charge`: the form used
-    /// when an already-placed task is *relocated*. A whole placement on the
-    /// new core absorbs one charge (the relocation reload); a split
-    /// placement charges every piece after the first (the recurring
-    /// intra-job hops — the one-time entry reload is dominated by them and
-    /// deliberately not double-charged). A zero charge is bit-identical to
-    /// the uncharged plan.
-    pub fn plan_charged(
         &self,
         partition: &Partition,
         task: &Task,
         exclude: &[CoreId],
         charge: Time,
     ) -> Option<PlacementPlan> {
-        self.plan_whole_charged(partition, task, exclude, charge)
-            .or_else(|| self.plan_split_charged(partition, task, exclude, charge))
+        self.plan_whole(partition, task, exclude, charge)
+            .or_else(|| self.plan_split(partition, task, exclude, charge))
     }
 
     /// Commits a plan produced by [`plan_whole`](Self::plan_whole) /
@@ -880,7 +845,7 @@ fn outranked_by_whole(candidate: &Task) -> impl Fn(&Task) -> bool {
 /// Whether whole task `a` ranks at-or-above whole task `b` under the
 /// commit-time deadline-monotonic ranking (`assign_whole_priorities`
 /// order: deadline, then period, then id) — i.e. `a` would interfere with
-/// `b` on a shared core. The public face of [`whole_rank_key`] for
+/// `b` on a shared core. The public face of `whole_rank_key` for
 /// callers (the online controller's slack-guided victim pruning) that
 /// must agree with the probes' ranking rule.
 pub fn whole_outranks_or_ties(a: &Task, b: &Task) -> bool {
@@ -932,12 +897,16 @@ mod tests {
     fn whole_placement_is_first_fit_in_core_order() {
         let mut partition = Partition::new(2);
         let t0 = task(0, 3, 10);
-        let plan = placer().plan_whole(&partition, &t0, &[]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t0, &[], Time::ZERO)
+            .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(0)]);
         placer().commit(&mut partition, &t0, plan);
 
         let t1 = task(1, 3, 10);
-        let plan = placer().plan_whole(&partition, &t1, &[]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t1, &[], Time::ZERO)
+            .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(0)], "first fit, not worst fit");
         placer().commit(&mut partition, &t1, plan);
         assert_eq!(partition.validate(), Ok(()));
@@ -948,7 +917,9 @@ mod tests {
     fn exclusion_skips_cores() {
         let partition = Partition::new(2);
         let t = task(0, 3, 10);
-        let plan = placer().plan_whole(&partition, &t, &[CoreId(0)]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t, &[CoreId(0)], Time::ZERO)
+            .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(1)]);
     }
 
@@ -956,12 +927,14 @@ mod tests {
     fn oversubscribed_core_rejects_whole_placement() {
         let mut partition = Partition::new(1);
         let t0 = task(0, 7, 10);
-        let plan = placer().plan(&partition, &t0, &[]).unwrap();
+        let plan = placer().plan(&partition, &t0, &[], Time::ZERO).unwrap();
         placer().commit(&mut partition, &t0, plan);
         assert!(placer()
-            .plan_whole(&partition, &task(1, 7, 10), &[])
+            .plan_whole(&partition, &task(1, 7, 10), &[], Time::ZERO)
             .is_none());
-        assert!(placer().plan(&partition, &task(1, 7, 10), &[]).is_none());
+        assert!(placer()
+            .plan(&partition, &task(1, 7, 10), &[], Time::ZERO)
+            .is_none());
     }
 
     #[test]
@@ -977,8 +950,12 @@ mod tests {
             placer().commit(&mut partition, &t, plan);
         }
         let t2 = task(2, 6, 10);
-        assert!(placer().plan_whole(&partition, &t2, &[]).is_none());
-        let plan = placer().plan_split(&partition, &t2, &[]).unwrap();
+        assert!(placer()
+            .plan_whole(&partition, &t2, &[], Time::ZERO)
+            .is_none());
+        let plan = placer()
+            .plan_split(&partition, &t2, &[], Time::ZERO)
+            .unwrap();
         assert!(plan.is_split());
         let PlacementPlan::Split { pieces } = &plan else {
             unreachable!()
@@ -1004,13 +981,15 @@ mod tests {
             placer().commit(&mut partition, &t, plan);
         }
         let t2 = task(2, 6, 10);
-        let plan = placer().plan_split(&partition, &t2, &[]).unwrap();
+        let plan = placer()
+            .plan_split(&partition, &t2, &[], Time::ZERO)
+            .unwrap();
         placer().commit(&mut partition, &t2, plan);
         // Both cores now carry a split piece; a second split task would need
         // a tail on a core that already has a body or tail, and each core
         // may host at most one of each.
         let t3 = task(3, 4, 10);
-        if let Some(plan) = placer().plan_split(&partition, &t3, &[]) {
+        if let Some(plan) = placer().plan_split(&partition, &t3, &[], Time::ZERO) {
             let PlacementPlan::Split { pieces } = &plan else {
                 unreachable!()
             };
@@ -1054,8 +1033,12 @@ mod tests {
         // 80% fits nowhere whole; the split must use cores 1 and 2 only,
         // carving the body on core 2 (the most spare capacity).
         let arrival = task(4, 8, 10);
-        assert!(placer().plan_whole(&partition, &arrival, &[]).is_none());
-        let plan = placer().plan_split(&partition, &arrival, &[]).unwrap();
+        assert!(placer()
+            .plan_whole(&partition, &arrival, &[], Time::ZERO)
+            .is_none());
+        let plan = placer()
+            .plan_split(&partition, &arrival, &[], Time::ZERO)
+            .unwrap();
         let cores = plan.cores();
         assert!(
             !cores.contains(&CoreId(0)),
@@ -1073,11 +1056,13 @@ mod tests {
         let mut partition = Partition::new(2);
         partition.enable_analysis_cache();
         let t0 = task(0, 8, 10);
-        let plan = placer().plan_whole(&partition, &t0, &[]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t0, &[], Time::ZERO)
+            .unwrap();
         placer().commit(&mut partition, &t0, plan);
         let before = scoped::thread_snapshot();
         let plan = placer()
-            .plan_whole(&partition, &task(1, 3, 10), &[])
+            .plan_whole(&partition, &task(1, 3, 10), &[], Time::ZERO)
             .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(1)]);
         let delta = before.since();
@@ -1117,7 +1102,9 @@ mod tests {
         }
         let arrival = task(2, 6, 10);
         let before = scoped::thread_snapshot();
-        let plan = placer().plan_split(&partition, &arrival, &[]).unwrap();
+        let plan = placer()
+            .plan_split(&partition, &arrival, &[], Time::ZERO)
+            .unwrap();
         assert!(before.since().get(HotCounter::CapacityRejects) > 0);
         placer().commit(&mut partition, &arrival, plan);
         assert_eq!(partition.validate(), Ok(()));
@@ -1145,7 +1132,7 @@ mod tests {
         }
         let split = task(2, 6, 10);
         let plan = placer()
-            .plan_split(&partition, &split, &[CoreId(2), CoreId(3)])
+            .plan_split(&partition, &split, &[CoreId(2), CoreId(3)], Time::ZERO)
             .unwrap();
         placer().commit(&mut partition, &split, plan);
         for (id, wcet, period) in [(3u32, 3u64, 10u64), (4, 2, 25), (5, 1, 4)] {
@@ -1258,14 +1245,14 @@ mod tests {
         }
         let before = scoped::thread_snapshot();
         assert!(placer()
-            .plan_split(&partition, &task(2, 5, 10), &[])
+            .plan_split(&partition, &task(2, 5, 10), &[], Time::ZERO)
             .is_none());
         let delta = before.since();
         assert_eq!(delta.get(HotCounter::SplitEntryRejects), 1);
         assert_eq!(delta.get(HotCounter::SplitProbes), 0);
         // A task small enough for one core's spare passes the gate.
         let before = scoped::thread_snapshot();
-        let _ = placer().plan_split(&partition, &task(3, 1, 10), &[]);
+        let _ = placer().plan_split(&partition, &task(3, 1, 10), &[], Time::ZERO);
         assert_eq!(before.since().get(HotCounter::SplitEntryRejects), 0);
     }
 
@@ -1274,27 +1261,8 @@ mod tests {
         let partition = Partition::new(2);
         let t = task(0, 2, 10);
         let before = partition.clone();
-        let _ = placer().plan(&partition, &t, &[]);
+        let _ = placer().plan(&partition, &t, &[], Time::ZERO);
         assert_eq!(partition, before);
-    }
-
-    #[test]
-    fn zero_charge_plans_are_identical_to_uncharged_plans() {
-        let mut partition = Partition::new(2);
-        for (id, core) in [(0u32, 0usize), (1, 1)] {
-            let t = task(id, 6, 10);
-            let plan = PlacementPlan::Whole {
-                core: CoreId(core),
-                analysis_task: t.clone(),
-            };
-            placer().commit(&mut partition, &t, plan);
-        }
-        for probe in [task(2, 2, 10), task(3, 6, 10)] {
-            assert_eq!(
-                placer().plan(&partition, &probe, &[]),
-                placer().plan_charged(&partition, &probe, &[], Time::ZERO),
-            );
-        }
     }
 
     #[test]
@@ -1303,7 +1271,7 @@ mod tests {
         let partition = Partition::new(2);
         let t = task(0, 3, 10);
         let Some(PlacementPlan::Whole { analysis_task, .. }) =
-            placer().plan_whole_charged(&partition, &t, &[], charge)
+            placer().plan_whole(&partition, &t, &[], charge)
         else {
             panic!("whole placement expected");
         };
@@ -1322,7 +1290,7 @@ mod tests {
         }
         let t3 = task(3, 6, 10);
         let Some(PlacementPlan::Split { pieces }) =
-            placer().plan_split_charged(&partition, &t3, &[], charge)
+            placer().plan_split(&partition, &t3, &[], charge)
         else {
             panic!("split placement expected");
         };
@@ -1344,14 +1312,14 @@ mod tests {
         let partition = Partition::new(2);
         let t = task(0, 6, 10);
         let charge = Time::from_millis(20);
-        assert!(placer().plan_charged(&partition, &t, &[], charge).is_none());
+        assert!(placer().plan(&partition, &t, &[], charge).is_none());
     }
 
     #[test]
     fn committed_whole_plan_matches_parent() {
         let mut partition = Partition::new(1);
         let t = task(4, 2, 10);
-        let plan = placer().plan(&partition, &t, &[]).unwrap();
+        let plan = placer().plan(&partition, &t, &[], Time::ZERO).unwrap();
         placer().commit(&mut partition, &t, plan);
         let placements = partition.placements_of(TaskId(4));
         assert_eq!(placements.len(), 1);

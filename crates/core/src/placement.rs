@@ -389,12 +389,6 @@ impl Partition {
         self.partial_chains = true;
     }
 
-    /// Whether partial split chains are allowed (see
-    /// [`allow_partial_chains`](Self::allow_partial_chains)).
-    pub fn partial_chains_allowed(&self) -> bool {
-        self.partial_chains
-    }
-
     /// Count of `Partition::clone()` calls **on the calling thread** since
     /// it started (or the last [`reset_clone_count`](Self::reset_clone_count)).
     /// The journal-based rollback paths of the online admission cascade

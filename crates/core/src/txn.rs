@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 use crate::placement::{JournalMark, Partition};
 
-/// A planning transaction over one or several partitions. See the
-/// [module docs](self) for the two-phase protocol.
+/// A planning transaction over one or several partitions. The two-phase
+/// protocol is described in the `txn.rs` module docs.
 ///
 /// Scopes are indexed by begin order: [`begin`](Self::begin) on the i-th
 /// partition returns scope index `i`, and [`commit`](Self::commit) /
@@ -44,7 +44,7 @@ use crate::placement::{JournalMark, Partition};
 ///
 /// Dropping a transaction without committing or aborting marks every
 /// scope abandoned; the owning partitions rewind and close them at
-/// their next journal interaction (see the [module docs](self)).
+/// their next journal interaction (see the `txn.rs` module docs).
 #[derive(Debug, Default)]
 pub struct PlanTxn {
     scopes: Vec<JournalMark>,

@@ -19,10 +19,10 @@
 use serde::{Deserialize, Serialize};
 use spms_faults::{FaultPlan, FaultSpec};
 use spms_online::FaultStats;
-use spms_task::Time;
+use spms_task::{fnv1a, Time};
 
 use crate::progress::{NullProgress, ProgressSink};
-use crate::soak::{fnv1a, SoakExperiment};
+use crate::soak::SoakExperiment;
 
 /// Recovery outcome of one shard count under the injected fault plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,7 +126,7 @@ impl ChaosResults {
     }
 }
 
-/// The chaos driver. See the [module docs](self).
+/// The chaos driver. See the `chaos.rs` module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosExperiment {
     cores: usize,

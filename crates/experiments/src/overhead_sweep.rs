@@ -153,7 +153,7 @@ impl OverheadResults {
     }
 }
 
-/// The overhead-cost experiment driver. See the [module docs](self).
+/// The overhead-cost experiment driver. See the `overhead_sweep.rs` module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OverheadExperiment {
     cores: usize,

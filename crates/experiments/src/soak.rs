@@ -55,7 +55,7 @@ use spms_online::{
     ShardedAdmission, TimedEvent,
 };
 use spms_overhead::CostModelSpec;
-use spms_task::Time;
+use spms_task::{fnv1a, fnv1a_combine, Time, FNV_OFFSET};
 use spms_telemetry::{Histogram, MetricClass, Registry};
 
 use crate::progress::{NullProgress, ProgressSink, ShiftedProgress};
@@ -328,7 +328,7 @@ impl SoakResults {
     }
 }
 
-/// The soak driver. See the [module docs](self).
+/// The soak driver. See the `soak.rs` module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SoakExperiment {
     cores: usize,
@@ -575,7 +575,7 @@ impl SoakExperiment {
     }
 
     /// The full soak run: results, the optionally captured trace, and the
-    /// merged metric registries ([`crate::metrics`]-style telemetry the
+    /// merged metric registries ([`spms_online::metrics`]-style telemetry the
     /// CLI's `--metrics` flag writes). Registries merge per-cell engines
     /// in grid order, so the deterministic section is identical for every
     /// `--threads` value.
@@ -906,24 +906,6 @@ impl SoakExperiment {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over a byte string.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |acc, b| {
-        (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
-}
-
-/// Order-sensitive combination of per-trace digests.
-fn fnv1a_combine(acc: u64, digest: u64) -> u64 {
-    digest
-        .to_le_bytes()
-        .iter()
-        .fold(acc, |acc, b| (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1107,6 +1089,23 @@ mod tests {
         let md = run.render_markdown();
         assert!(!md.contains("admitted (cross-shard)"));
         assert!(!md.contains("shards (leased)"));
+    }
+
+    #[test]
+    fn only_a_soak_run_exports_a_decisions_per_sec_gauge() {
+        // Engines never know the wall-clock window, so an engine registry
+        // must not carry a throughput gauge that would read 0; soak sets
+        // it per point from the measured elapsed time.
+        const RATE: &str = "spms_timing_decisions_per_sec";
+        let fresh = ShardedAdmission::new(OnlineConfig::new(4), 2).unwrap();
+        assert_eq!(fresh.merged_metrics_registry().gauge_by_name(RATE), None);
+        let run = quick().run_full_with_progress(&NullProgress);
+        assert_eq!(run.point_metrics.len(), 2);
+        for (registry, timing) in run.point_metrics.iter().zip(&run.results.timing) {
+            let rate = registry.gauge_by_name(RATE).expect("soak sets the gauge");
+            assert!(rate > 0);
+            assert_eq!(rate, timing.decisions_per_sec as u64);
+        }
     }
 
     #[test]

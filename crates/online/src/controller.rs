@@ -139,40 +139,6 @@ pub struct OnlineConfig {
     /// resident (a from-scratch repartition of one shard cannot re-place
     /// the remote siblings).
     pub cross_shard_split: bool,
-    /// Graceful-degradation ladder: when set, per-arrival probe counts
-    /// above the policy's budget shed the expensive cascade stages (full
-    /// repartition first, then bounded repair), re-arming after a calm
-    /// streak. `None` (the default) never sheds and reproduces the
-    /// ladder-free decisions bit for bit.
-    pub degrade: Option<DegradePolicy>,
-}
-
-/// Knobs of the graceful-degradation ladder.
-///
-/// The overload signal is the *probe count* of each arrival decision
-/// (whole + split RTA probes, the cascade's unit of work) — an integer
-/// that is a pure function of the decision stream, never wall-clock, so
-/// the ladder's behaviour is deterministic across threads and machines.
-/// An arrival that spends more than `probe_budget` probes escalates the
-/// controller one degrade level (1 = the full-repartition fallback is
-/// withheld, 2 = bounded repair is withheld too); `hysteresis`
-/// consecutive within-budget arrivals walk it back one level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DegradePolicy {
-    /// Probes one arrival decision may spend before the controller
-    /// escalates one degrade level.
-    pub probe_budget: u64,
-    /// Consecutive within-budget arrivals required to recover one level.
-    pub hysteresis: u32,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        DegradePolicy {
-            probe_budget: 512,
-            hysteresis: 8,
-        }
-    }
 }
 
 impl Default for OnlineConfig {
@@ -187,7 +153,6 @@ impl Default for OnlineConfig {
             use_rta_cache: true,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
-            degrade: None,
         }
     }
 }
@@ -275,12 +240,6 @@ impl OnlineConfigBuilder {
     /// sharded service's cross-shard planner can place boundary pieces.
     pub fn cross_shard_split(mut self, enabled: bool) -> Self {
         self.config.cross_shard_split = enabled;
-        self
-    }
-
-    /// Installs (or removes) the graceful-degradation ladder.
-    pub fn degrade(mut self, policy: Option<DegradePolicy>) -> Self {
-        self.config.degrade = policy;
         self
     }
 
@@ -476,14 +435,6 @@ impl Decision {
     pub fn is_admission(&self) -> bool {
         matches!(self.kind, DecisionKind::Admitted { .. })
     }
-
-    /// Whether this decision changed the partition.
-    pub fn changed_partition(&self) -> bool {
-        matches!(
-            self.kind,
-            DecisionKind::Admitted { .. } | DecisionKind::Departed
-        )
-    }
 }
 
 /// Aggregate counters over a controller's lifetime.
@@ -537,8 +488,8 @@ impl ControllerStats {
     }
 }
 
-/// The online admission controller. See the [module docs](self) for the
-/// decision cascade.
+/// The online admission controller. The decision cascade is described in
+/// the `controller.rs` module docs.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     config: OnlineConfig,
@@ -555,13 +506,6 @@ pub struct AdmissionController {
     metrics: EngineMetrics,
     stats: ControllerStats,
     next_event: usize,
-    /// Current rung of the graceful-degradation ladder (0 = full cascade,
-    /// 1 = full repartition withheld, 2 = bounded repair withheld too).
-    /// Always 0 when [`OnlineConfig::degrade`] is `None`.
-    degrade_level: u8,
-    /// Consecutive within-budget arrivals since the last escalation —
-    /// the hysteresis counter that walks the ladder back down.
-    calm_streak: u32,
 }
 
 impl AdmissionController {
@@ -598,8 +542,6 @@ impl AdmissionController {
             metrics: EngineMetrics::default(),
             stats: ControllerStats::default(),
             next_event: 0,
-            degrade_level: 0,
-            calm_streak: 0,
         })
     }
 
@@ -656,11 +598,6 @@ impl AdmissionController {
         &self.metrics
     }
 
-    /// Mutable telemetry access (drivers use it to set throughput gauges).
-    pub fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
-    }
-
     /// Wall-clock decision latencies as a bounded histogram (the timing
     /// section of the registry — one sample per handled event). Never
     /// serialized into reports: latencies vary run-to-run, and every
@@ -696,13 +633,6 @@ impl AdmissionController {
         self.next_event += 1;
         self.decisions.push(decision);
         let deltas = hot.since();
-        // Only arrivals drive the degrade ladder: their probe count is the
-        // cascade's unit of work, while departures and renewals are cheap
-        // bookkeeping that says nothing about admission pressure.
-        if matches!(event, WorkloadEvent::Arrive(_)) {
-            let probes = deltas.get(HotCounter::WholeProbes) + deltas.get(HotCounter::SplitProbes);
-            self.update_degrade(probes);
-        }
         self.metrics.finish_decision(
             u64::from(task_id.0),
             &kind,
@@ -711,38 +641,6 @@ impl AdmissionController {
         );
         debug_assert_eq!(self.partition.validate(), Ok(()));
         decision
-    }
-
-    /// Current rung of the graceful-degradation ladder (0 when no
-    /// [`DegradePolicy`] is configured).
-    pub fn degrade_level(&self) -> u8 {
-        self.degrade_level
-    }
-
-    /// One ladder update after an arrival that spent `probes` RTA probes:
-    /// over budget escalates a rung (and resets the calm streak), a
-    /// within-budget arrival extends the streak and recovers a rung after
-    /// `hysteresis` consecutive calm arrivals.
-    fn update_degrade(&mut self, probes: u64) {
-        let Some(policy) = self.config.degrade else {
-            return;
-        };
-        if probes > policy.probe_budget {
-            self.calm_streak = 0;
-            if self.degrade_level < 2 {
-                self.degrade_level += 1;
-                self.metrics
-                    .record_degrade_transition(u64::from(self.degrade_level), true);
-            }
-        } else if self.degrade_level > 0 {
-            self.calm_streak += 1;
-            if self.calm_streak >= policy.hysteresis {
-                self.calm_streak = 0;
-                self.degrade_level -= 1;
-                self.metrics
-                    .record_degrade_transition(u64::from(self.degrade_level), false);
-            }
-        }
     }
 
     /// Handles a whole event stream, returning the per-event decisions.
@@ -765,7 +663,7 @@ impl AdmissionController {
         if self.admitted_utilization() + task.utilization() > self.config.cores as f64 + 1e-9 {
             return self.reject(RejectionReason::PlatformOverloaded);
         }
-        if self.placer.whole_analysis_task(task).is_none() {
+        if self.placer.whole_analysis_task(task, Time::ZERO).is_none() {
             return self.reject(RejectionReason::OverheadUnabsorbable);
         }
 
@@ -775,7 +673,10 @@ impl AdmissionController {
         // A whole placement crosses no core boundary at run time, so the
         // fast-whole path is charge-free under every cost model.
         let stage = Instant::now();
-        if let Some(plan) = self.placer.plan_whole(&self.partition, task, &[]) {
+        if let Some(plan) = self
+            .placer
+            .plan_whole(&self.partition, task, &[], Time::ZERO)
+        {
             self.placer.commit(&mut self.partition, task, plan);
             self.record_stage(DecisionPath::FastWhole, true, stage);
             self.stats.fast_whole += 1;
@@ -787,10 +688,7 @@ impl AdmissionController {
         // and the split is admitted only if it stays schedulable inflated.
         let stage = Instant::now();
         let charge = self.migration_charge(task);
-        if let Some(plan) = self
-            .placer
-            .plan_split_charged(&self.partition, task, &[], charge)
-        {
+        if let Some(plan) = self.placer.plan_split(&self.partition, task, &[], charge) {
             let inflation = plan_inflation(&plan, charge);
             self.placer.commit(&mut self.partition, task, plan);
             self.record_stage(DecisionPath::FastSplit, true, stage);
@@ -798,34 +696,22 @@ impl AdmissionController {
             return self.admit(task, DecisionPath::FastSplit, 0, inflation);
         }
         self.record_stage(DecisionPath::FastSplit, false, stage);
-        // The degrade ladder sheds the expensive stages under sustained
-        // overload: level ≥ 2 withholds bounded repair, level ≥ 1 the
-        // full-repartition fallback. Shed stages never run, so they count
-        // on the shed counter, not as stage attempts.
-        if self.degrade_level < 2 {
-            let stage = Instant::now();
-            let repaired = self.try_repair(task);
-            self.record_stage(DecisionPath::Repair, repaired.is_some(), stage);
-            if let Some((moves, inflation)) = repaired {
-                self.stats.repairs += 1;
-                return self.admit(task, DecisionPath::Repair, moves, inflation);
-            }
-        } else {
-            self.metrics.record_degrade_shed_stage();
+        let stage = Instant::now();
+        let repaired = self.try_repair(task);
+        self.record_stage(DecisionPath::Repair, repaired.is_some(), stage);
+        if let Some((moves, inflation)) = repaired {
+            self.stats.repairs += 1;
+            return self.admit(task, DecisionPath::Repair, moves, inflation);
         }
         // The fallback adopts a from-scratch offline partition; its moves
         // are a one-time reshuffle, not recurring per-job hops, so they are
         // deliberately uncharged (see the module docs).
-        if self.degrade_level < 1 {
-            let stage = Instant::now();
-            let fallback = self.try_fallback(task);
-            self.record_stage(DecisionPath::FullRepartition, fallback.is_some(), stage);
-            if let Some(moves) = fallback {
-                self.stats.full_repartitions += 1;
-                return self.admit(task, DecisionPath::FullRepartition, moves, Time::ZERO);
-            }
-        } else {
-            self.metrics.record_degrade_shed_stage();
+        let stage = Instant::now();
+        let fallback = self.try_fallback(task);
+        self.record_stage(DecisionPath::FullRepartition, fallback.is_some(), stage);
+        if let Some(moves) = fallback {
+            self.stats.full_repartitions += 1;
+            return self.admit(task, DecisionPath::FullRepartition, moves, Time::ZERO);
         }
         self.reject(RejectionReason::NoFeasiblePlacement)
     }
@@ -947,7 +833,10 @@ impl AdmissionController {
         loop {
             // The arrival itself lands whole on the opened core — a fresh
             // placement crossing no boundary, so it stays uncharged.
-            if let Some(plan) = self.placer.plan_whole(&self.partition, task, &others) {
+            if let Some(plan) = self
+                .placer
+                .plan_whole(&self.partition, task, &others, Time::ZERO)
+            {
                 self.placer.commit(&mut self.partition, task, plan);
                 return Some((moves, inflation));
             }
@@ -1068,7 +957,7 @@ impl AdmissionController {
         candidates: &[(f64, TaskId)],
         budget: usize,
     ) -> bool {
-        let Some(analysis_task) = self.placer.whole_analysis_task(arrival) else {
+        let Some(analysis_task) = self.placer.whole_analysis_task(arrival, Time::ZERO) else {
             return false;
         };
         let descending: Vec<(f64, TaskId)> = candidates.iter().rev().copied().collect();
@@ -1221,7 +1110,7 @@ impl AdmissionController {
         self.partition.remove_parent(victim);
         if let Some(plan) = self
             .placer
-            .plan_charged(&self.partition, &original, &[target], charge)
+            .plan(&self.partition, &original, &[target], charge)
         {
             let inflation = plan_inflation(&plan, charge);
             self.placer.commit(&mut self.partition, &original, plan);
@@ -1395,7 +1284,7 @@ impl AdmissionController {
 /// `charge`: a charged whole placement absorbs one charge, a split chain
 /// one per piece after the first (the first piece never crosses a
 /// boundary). Mirrors the charging rule inside
-/// [`IncrementalPlacer::plan_charged`].
+/// [`IncrementalPlacer::plan`].
 fn plan_inflation(plan: &PlacementPlan, charge: Time) -> Time {
     match plan {
         PlacementPlan::Whole { .. } => charge,

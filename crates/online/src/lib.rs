@@ -66,13 +66,11 @@ mod service;
 
 pub use churn::{inject_renewals, ChurnFamily, ChurnGenerator};
 pub use controller::{
-    AdmissionController, ControllerStats, Decision, DecisionKind, DecisionPath, DegradePolicy,
-    OnlineConfig, OnlineConfigBuilder, OnlineError, RejectionReason,
+    AdmissionController, ControllerStats, Decision, DecisionKind, DecisionPath, OnlineConfig,
+    OnlineConfigBuilder, OnlineError, RejectionReason,
 };
 pub use event::{parse_trace, TimedEvent, TraceError, WorkloadEvent};
-pub use event_loop::{
-    EngineEvent, EventLoop, EventLoopConfig, MAX_REBALANCE_BACKOFF_SHIFT, TICK_SNAPSHOT_CAPACITY,
-};
+pub use event_loop::{EngineEvent, EventLoop, EventLoopConfig};
 pub use metrics::{EngineMetrics, RebalanceTick, DEFAULT_TRACE_RING_CAPACITY};
 pub use replay::{run_trace, ReplayConfig, ReplayOutcome};
 pub use service::{FaultStats, ServiceStats, ShardHealth, ShardedAdmission};

@@ -13,25 +13,25 @@
 //!
 //! * `spms_*` outcome metrics are recorded **only from final decisions**
 //!   (the engine that owns the decision stream calls
-//!   [`record_decision`](EngineMetrics::record_decision)). A sharded
+//!   [`record_outcome`](EngineMetrics::record_outcome)). A sharded
 //!   service drops its shards' outcome counters when merging
 //!   ([`Registry::merge_where`]) because shard-level `decide` calls
 //!   include overflow retries.
 //! * `spms_mech_*` mechanism metrics describe how the cascade got there:
 //!   per-stage attempt/success counters, probe and cache hit/miss counts
-//!   folded in from the [`scoped`] hot counters, routing overflow and
+//!   folded in from the [`scoped`](spms_telemetry::scoped) hot counters, routing overflow and
 //!   rebalance activity.
 //! * `spms_timing_*` metrics hold every wall-clock figure: per-decision
-//!   and per-stage latency histograms and a decisions/sec gauge. A sharded
-//!   service keeps `spms_timing_decision_latency_ns` to one sample per
-//!   service decision and exposes its shards' own decision spans as
+//!   and per-stage latency histograms. A sharded service keeps
+//!   `spms_timing_decision_latency_ns` to one sample per service decision
+//!   and exposes its shards' own decision spans as
 //!   `spms_timing_shard_decision_latency_ns` in the merged view.
 
 use std::collections::VecDeque;
 
 use spms_telemetry::{
-    scoped, CounterId, GaugeId, Histogram, HistogramId, HotDeltas, MetricClass, Registry,
-    SnapshotFilter, SpanOutcome, StageSpan, TraceRing, HOT_COUNTERS,
+    CounterId, GaugeId, Histogram, HistogramId, HotDeltas, MetricClass, Registry, SnapshotFilter,
+    SpanOutcome, StageSpan, TraceRing, HOT_COUNTERS,
 };
 
 use crate::{DecisionKind, DecisionPath, RejectionReason};
@@ -152,17 +152,12 @@ struct Ids {
     fault_recoveries: CounterId,
     fault_evictions: CounterId,
     fault_rejoins: CounterId,
-    degrade_level: GaugeId,
-    degrade_escalations: CounterId,
-    degrade_recoveries: CounterId,
-    degrade_shed_stages: CounterId,
     audit_checks: CounterId,
     audit_violations: CounterId,
     audit_repairs: CounterId,
     // Timing.
     decision_latency: HistogramId,
     stage_latency: [HistogramId; 5],
-    decisions_per_sec: GaugeId,
 }
 
 /// One engine's metrics: registry, stage-trace ring, and rebalance
@@ -236,10 +231,6 @@ impl EngineMetrics {
             fault_recoveries: mech(&mut registry, "spms_mech_fault_recoveries_total"),
             fault_evictions: mech(&mut registry, "spms_mech_fault_evictions_total"),
             fault_rejoins: mech(&mut registry, "spms_mech_fault_rejoins_total"),
-            degrade_level: registry.gauge("spms_mech_degrade_level", MetricClass::Mechanism),
-            degrade_escalations: mech(&mut registry, "spms_mech_degrade_escalations_total"),
-            degrade_recoveries: mech(&mut registry, "spms_mech_degrade_recoveries_total"),
-            degrade_shed_stages: mech(&mut registry, "spms_mech_degrade_shed_stages_total"),
             audit_checks: mech(&mut registry, "spms_mech_audit_checks_total"),
             audit_violations: mech(&mut registry, "spms_mech_audit_violations_total"),
             audit_repairs: mech(&mut registry, "spms_mech_audit_repairs_total"),
@@ -250,7 +241,6 @@ impl EngineMetrics {
                     MetricClass::Timing,
                 )
             }),
-            decisions_per_sec: registry.gauge("spms_timing_decisions_per_sec", MetricClass::Timing),
         };
         EngineMetrics {
             registry,
@@ -380,11 +370,6 @@ impl EngineMetrics {
     // service-side recording
     // ------------------------------------------------------------------
 
-    /// Records the service-level latency of one decision.
-    pub fn record_decision_latency(&mut self, nanos: u64) {
-        self.registry.record(self.ids.decision_latency, nanos);
-    }
-
     /// Counts an admission that landed off its home shard.
     pub fn record_overflow_admission(&mut self) {
         self.registry.inc(self.ids.overflow_admissions);
@@ -445,11 +430,12 @@ impl EngineMetrics {
     }
 
     // ------------------------------------------------------------------
-    // fault injection, failover, degrade ladder, self-audit
+    // fault injection, failover, self-audit
     // ------------------------------------------------------------------
 
-    /// Counts one injected fault by its [`FaultKind::label`] (see
-    /// `spms-faults`); unknown labels still count as injections.
+    /// Counts one injected fault by its
+    /// [`FaultKind::label`](spms_faults::FaultKind::label); unknown labels
+    /// still count as injections.
     pub fn record_fault_injection(&mut self, label: &str) {
         self.registry.inc(self.ids.fault_injections);
         let per_kind = match label {
@@ -485,22 +471,6 @@ impl EngineMetrics {
         self.registry.inc(self.ids.fault_rejoins);
     }
 
-    /// Sets the degrade-level gauge and counts the transition that moved
-    /// it (`escalated` — up one rung — or a hysteresis recovery down one).
-    pub fn record_degrade_transition(&mut self, level: u64, escalated: bool) {
-        self.registry.set_gauge(self.ids.degrade_level, level);
-        self.registry.inc(if escalated {
-            self.ids.degrade_escalations
-        } else {
-            self.ids.degrade_recoveries
-        });
-    }
-
-    /// Counts one cascade stage withheld by the active degrade level.
-    pub fn record_degrade_shed_stage(&mut self) {
-        self.registry.inc(self.ids.degrade_shed_stages);
-    }
-
     /// Counts one self-audit pass over a core's cached analysis. A
     /// `repaired` audit found a divergent memo (counted as a violation)
     /// and rebuilt it from scratch (counted as a repair) — so
@@ -513,24 +483,12 @@ impl EngineMetrics {
             self.registry.inc(self.ids.audit_repairs);
         }
     }
-
-    /// Sets the decisions/sec throughput gauge (timing section; set by
-    /// drivers that know the wall-clock window).
-    pub fn set_decisions_per_sec(&mut self, value: u64) {
-        self.registry.set_gauge(self.ids.decisions_per_sec, value);
-    }
 }
 
 impl Default for EngineMetrics {
     fn default() -> Self {
         EngineMetrics::new(DEFAULT_TRACE_RING_CAPACITY)
     }
-}
-
-/// Re-export of the scoped hot-counter snapshot, so engine code does not
-/// need a direct `spms_telemetry` dependency path for the common pattern.
-pub fn hot_snapshot() -> HotDeltas {
-    scoped::thread_snapshot()
 }
 
 #[cfg(test)]

@@ -153,7 +153,8 @@ impl FaultStats {
 }
 
 /// A sharded admission service over N independent admission controllers.
-/// See the [module docs](self) for the routing and rebalancing policy.
+/// The routing and rebalancing policy is described in the `service.rs`
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct ShardedAdmission {
     shards: Vec<AdmissionController>,
@@ -295,11 +296,6 @@ impl ShardedAdmission {
     /// [`merged_metrics_registry`](Self::merged_metrics_registry).
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
-    }
-
-    /// Mutable telemetry access (drivers use it to set throughput gauges).
-    pub fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
     }
 
     /// Wall-clock service-decision latencies as a bounded histogram (one

@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod digest;
 mod error;
 pub mod generator;
 mod priority;
@@ -40,6 +41,7 @@ mod task;
 mod task_set;
 mod time;
 
+pub use digest::{fnv1a, fnv1a_combine, FNV_OFFSET};
 pub use error::TaskError;
 pub use generator::{PeriodDistribution, TaskSetGenerator, UtilizationDistribution};
 pub use priority::{Priority, PriorityAssignment};

@@ -196,11 +196,6 @@ impl Registry {
         self.gauges[id.0].value = value;
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0].value
-    }
-
     /// Records one sample into a histogram.
     pub fn record(&mut self, id: HistogramId, value: u64) {
         self.histograms[id.0].value.record(value);
@@ -374,13 +369,15 @@ mod tests {
         let mut r = Registry::new();
         let t = r.histogram("spms_timing_lat_ns", MetricClass::Timing);
         r.record(t, 5);
+        let g = r.gauge("spms_timing_rate", MetricClass::Timing);
+        r.set_gauge(g, 9);
         let m = r.counter("spms_mech_probes_total", MetricClass::Mechanism);
         r.inc(m);
         let o = r.counter("spms_admitted_total", MetricClass::Outcome);
         r.inc(o);
 
         let full = r.snapshot(SnapshotFilter::Full);
-        assert_eq!(full.entries.len(), 3);
+        assert_eq!(full.entries.len(), 4);
         assert!(full.entries.windows(2).all(|w| w[0].name < w[1].name));
 
         let det = r.snapshot(SnapshotFilter::Deterministic);

@@ -155,8 +155,8 @@ pub fn reset_global(counter: HotCounter) {
 
 /// Runs `f` and then takes back everything it counted, on this thread and
 /// process-wide. Debug-build oracles use it to re-run work the hot path
-/// proved unnecessary without skewing the work counters — or the degrade
-/// ladder that budgets on them — away from what a release build counts.
+/// proved unnecessary without skewing the work counters away from what a
+/// release build counts.
 pub fn uncounted<R>(f: impl FnOnce() -> R) -> R {
     let before = thread_snapshot();
     let result = f();

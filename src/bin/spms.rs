@@ -26,7 +26,7 @@ use spms::online::{
     parse_trace, ChurnFamily, OnlineConfig, ShardedAdmission, TimedEvent, WorkloadEvent,
 };
 use spms::overhead::{CostModelSpec, CrpdCostModel};
-use spms::task::Time;
+use spms::task::{fnv1a, Time};
 use spms::telemetry::{Registry, Snapshot, SnapshotFilter};
 use std::io::IsTerminal;
 use std::process::ExitCode;
@@ -929,16 +929,6 @@ impl TraceReplayReport {
             self.decisions_digest,
         )
     }
-}
-
-/// FNV-1a over a byte string — the same digest function the soak experiment
-/// uses, so two replays of the same trace can be compared by one number.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    bytes
-        .iter()
-        .fold(OFFSET, |acc, b| (acc ^ u64::from(*b)).wrapping_mul(PRIME))
 }
 
 /// Reads a JSON-lines event log, delegating the parsing (and its typed,
